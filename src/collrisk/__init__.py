@@ -63,8 +63,6 @@ from .ruin import (
     MixtureRuin,
     RiskSystem,
     RuinCurve,
-    RuinEstimate,
-    RuinReport,
     RuinTimeNormal,
     SealDecomposition,
     composite_split,

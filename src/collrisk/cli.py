@@ -45,9 +45,8 @@ from .errors import (
 )
 from .lattice import panjer
 from .ruin import (
+    LundbergSolution,
     RiskSystem,
-    RuinEstimate,
-    RuinReport,
     cramer_lundberg_approx,
     finite_time_bound,
     lundberg,
@@ -112,16 +111,10 @@ def _fmt(value) -> str:
 
 @dataclass(frozen=True)
 class Controls:
-    """Numeric controls carried by the model file (overridable by flags).
-
-    ``time_step`` is accepted for completeness but currently unused: the
-    finite-time integrators collapse their time integrals exactly onto the
-    money lattice, so no time discretization is involved.
-    """
+    """Numeric controls carried by the model file (overridable by flags)."""
 
     span: float = 0.01
     n_out: int | None = None
-    time_step: float | None = None
     mc_seed: int = 0
     mc_paths: int = 100_000
     mc_horizon: float | None = None
@@ -139,7 +132,6 @@ _TOP_KEYS = {
     "initial_capital",
     "span",
     "n_out",
-    "time_step",
     "mc_seed",
     "mc_paths",
     "mc_horizon",
@@ -298,9 +290,6 @@ def parse_model_text(text: str, base_dir: Path) -> ModelSpec:
     controls = Controls(
         span=_parse_float("span", top["span"]) if "span" in top else Controls.span,
         n_out=_parse_int("n_out", top["n_out"]) if "n_out" in top else None,
-        time_step=(
-            _parse_float("time_step", top["time_step"]) if "time_step" in top else None
-        ),
         mc_seed=_parse_int("mc_seed", top["mc_seed"]) if "mc_seed" in top else Controls.mc_seed,
         mc_paths=(
             _parse_int("mc_paths", top["mc_paths"]) if "mc_paths" in top else Controls.mc_paths
@@ -311,8 +300,6 @@ def parse_model_text(text: str, base_dir: Path) -> ModelSpec:
     )
     if controls.span <= 0:
         raise ParseError(f"span must be positive, got {controls.span}")
-    if controls.time_step is not None and controls.time_step <= 0:
-        raise ParseError(f"time_step must be positive, got {controls.time_step}")
     return ModelSpec(system, controls)
 
 
@@ -364,18 +351,6 @@ def _check_lattice_budget(controls: Controls, needed: int) -> None:
         )
 
 
-def _is_lattice_kind(severity: SeverityModel) -> bool:
-    return isinstance(severity, (Lattice, PointMass))
-
-
-def _aggregate_tail_at(model: CompoundModel, t: float, x: float, span: float, sev_lattice) -> float:
-    """P(S(t) >= t*x) from the aggregate recursion on the given lattice."""
-    target = t * x
-    m_star = int(math.ceil(target / span - 1e-9))
-    agg = panjer(model.rate * t, sev_lattice, max(m_star, 1))
-    return agg.tail(m_star - 1)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -396,7 +371,7 @@ def cmd_tail(spec: ModelSpec, args: argparse.Namespace, out) -> int:
         rows.append(("esscher", t, x, None, None, "mean-rate: no positive tilt"))
     elif x < mean_rate:
         rows.append(("esscher", t, x, None, None, "below the mean rate"))
-    elif _is_lattice_kind(model.severity):
+    elif model.severity.lattice_span is not None:
         tail = esscher_tail_lattice(model, t, x)
         note = "degenerate: a*sigma < 1" if tail.degenerate else "span-corrected"
         rows.append(("esscher", t, x, tail.value, None, note))
@@ -407,18 +382,16 @@ def cmd_tail(spec: ModelSpec, args: argparse.Namespace, out) -> int:
         rows.append(("esscher", t, x, tail.value, None, note))
         rows.append(("esscher-explicit", t, x, tail.value_explicit, None, "expanded prefactor"))
 
-    if _is_lattice_kind(model.severity):
-        sev = model.severity
-        span = sev.location if isinstance(sev, PointMass) else sev.span
-        note = "exact"
-    else:
-        sev = model.severity
+    span = model.severity.lattice_span
+    note = "exact"
+    if span is None:
         span = controls.span
         note = f"discretized (d={span:g})"
     _check_lattice_budget(controls, int(math.ceil(t * x / span)))
-    lattice = discretize(sev, span)
-    value = _aggregate_tail_at(model, t, x, span, lattice)
-    rows.append(("panjer", t, x, value, None, note))
+    # P(S(t) >= t*x) is the tail above the last cell below t*x
+    m_star = int(math.ceil(t * x / span - 1e-9))
+    agg = panjer(model.rate * t, discretize(model.severity, span), max(m_star, 1))
+    rows.append(("panjer", t, x, agg.tail(m_star - 1), None, note))
 
     if args.mc:
         plan = montecarlo.SimulationPlan(
@@ -435,6 +408,25 @@ def cmd_tail(spec: ModelSpec, args: argparse.Namespace, out) -> int:
 
     out.write(_render(["method", "t", "x", "value", "std_error", "note"], rows, args.format))
     return 0
+
+
+@dataclass(frozen=True)
+class RuinEstimate:
+    """One ruin-probability figure with its provenance."""
+
+    method: str
+    u: float
+    t: float | None
+    value: float
+    error: float | None = None
+
+
+@dataclass
+class RuinReport:
+    """Adjustment-coefficient constants plus per-method ruin estimates."""
+
+    solution: LundbergSolution | None
+    entries: list[RuinEstimate]
 
 
 def ruin_report_record(report: RuinReport) -> str:
@@ -483,7 +475,7 @@ def build_ruin_report(
         entries.append(RuinEstimate("cramer-lundberg", u, None, cl.value))
         entries.append(RuinEstimate("lundberg-bound", u, None, cl.bound))
 
-    if isinstance(system.model.severity, (Exponential, MixtureOfExponentials)):
+    if system.model.severity.as_mixture() is not None:
         for u in u_list:
             entries.append(
                 RuinEstimate("mixture-exact", u, None, mixture_exact(system, u).value)
@@ -584,9 +576,10 @@ def cmd_seal(spec: ModelSpec, args: argparse.Namespace, out) -> int:
     controls = spec.controls
     system = RiskSystem(spec.system.model, spec.system.premium_rate, args.u)
     t = args.t
+    sev = system.model.severity
     # a true lattice severity fixes the span; point masses discretize exactly
-    span = None if isinstance(system.model.severity, Lattice) else controls.span
-    effective = span if span is not None else system.model.severity.span
+    span = None if isinstance(sev, Lattice) else controls.span
+    effective = sev.lattice_span if span is None else span
     _check_lattice_budget(
         controls, int(math.ceil((args.u + system.premium_rate * t) / effective))
     )
@@ -598,11 +591,10 @@ def cmd_seal(spec: ModelSpec, args: argparse.Namespace, out) -> int:
         ("seal-crossings", args.u, t, result.crossings, None),
     ]
     if args.u == 0.0:
-        sev = system.model.severity
-        d = sev.span if isinstance(sev, Lattice) else controls.span
-        lattice = discretize(sev, d)
-        n_top = int(math.floor(system.premium_rate * t / d + 1e-9))
-        agg = panjer(system.model.rate * t, lattice, max(n_top, 1))
+        d = result.span
+        # cover c*t even when it falls between lattice points
+        n_top = int(math.ceil(system.premium_rate * t / d - 1e-9))
+        agg = panjer(system.model.rate * t, discretize(sev, d), max(n_top, 1))
         check = 1.0 - non_ruin_zero(system, t, agg)
         rows.append(("one-minus-non-ruin-zero", 0.0, t, check, None))
 
@@ -649,7 +641,7 @@ def cmd_portfolio(args: argparse.Namespace, out) -> int:
     rows: list[tuple] = [
         ("summary", "lambda", model.rate),
         ("summary", "sum-p-squared", portfolio.sum_p_squared),
-        ("summary", "approximation-bound", portfolio.sum_p_squared / 2.0),
+        ("summary", "approximation-bound", portfolio.approximation_bound),
         ("summary", "span", severity.span),
         ("summary", "policies", float(len(portfolio))),
     ]

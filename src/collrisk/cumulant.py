@@ -23,7 +23,7 @@ from scipy import special
 
 from .errors import DomainError, LatticeSeverityError, SizeError
 from .rootfind import expand_lower, expand_upper, safeguarded_newton
-from .severity import Lattice, PointMass, SeverityModel
+from .severity import Lattice, SeverityModel
 
 logger = logging.getLogger(__name__)
 
@@ -216,7 +216,7 @@ def esscher_tail(model: CompoundModel, t: float, x: float) -> EsscherTail:
     Lattice and point-mass severities must use the span-corrected
     :func:`esscher_tail_lattice` instead.
     """
-    if isinstance(model.severity, (Lattice, PointMass)):
+    if model.severity.lattice_span is not None:
         raise LatticeSeverityError(
             "severity is lattice-valued; use esscher_tail_lattice for the span-corrected form"
         )
@@ -240,12 +240,8 @@ def esscher_tail_lattice(model: CompoundModel, t: float, x: float) -> EsscherTai
     which recovers the continuous formula as d -> 0. The canonical value
     uses the discrete Esscher function E(ad, d/sigma) directly.
     """
-    sev = model.severity
-    if isinstance(sev, PointMass):
-        d = sev.location
-    elif isinstance(sev, Lattice):
-        d = sev.span
-    else:
+    d = model.severity.lattice_span
+    if d is None:
         raise DomainError(
             "severity has a density; use esscher_tail (no span correction applies)"
         )
@@ -305,6 +301,22 @@ class Portfolio:
     def sum_p_squared(self) -> float:
         """Quality indicator for the compound Poisson approximation."""
         return sum(p.loss_probability**2 for p in self.policies)
+
+    @property
+    def approximation_bound(self) -> float:
+        """Sum over policies of p + (1-p) log(1-p), at least sum p^2 / 2.
+
+        Each term is the total-variation distance between a policy's
+        Bernoulli(p) loss count and its matched-zero Poisson(-log(1-p))
+        stand-in, so the sum bounds |P(L > x) - P(S > x)| for every x.
+        Up to p = 1/2 the terms come from the series sum_{k>=2} p^k / (k(k-1)),
+        which avoids the cancellation of the closed form at small p.
+        """
+        p = np.array([pol.loss_probability for pol in self.policies])
+        k = np.arange(2, 60)
+        series = (p[:, None] ** k / (k * (k - 1))).sum(axis=1)
+        closed = p + (1.0 - p) * np.log1p(-p)
+        return float(np.where(p <= 0.5, series, closed).sum())
 
 
 def _float_gcd(a: float, b: float, tol: float) -> float:

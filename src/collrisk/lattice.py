@@ -2,9 +2,10 @@
 
 Two linear recursions drive everything exact in this library: the
 aggregate-loss recursion for compound Poisson masses and the
-compound-geometric recursion behind the ruin-probability curve. Both act
-on :class:`LatticeDistribution`, probabilities on the grid
-``{0, d, 2d, ...}`` with the upper-tail sequence maintained alongside.
+compound-geometric recursion behind the ruin-probability curve. Both run
+through one kernel and return :class:`LatticeDistribution`, probabilities
+on the grid ``{0, d, 2d, ...}`` with the upper-tail sequence maintained
+alongside.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class LatticeDistribution:
     def remainder(self) -> float:
         """Probability mass beyond the stored support."""
         return float(self.tails[-1])
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.arange(self.masses.size) * self.span
 
     def tail(self, m: int) -> float:
         """P(> m*span). For ``m`` beyond the stored support this is the remainder."""
@@ -159,6 +156,33 @@ def _checked_severity(severity: LatticeDistribution, what: str) -> np.ndarray:
     return f
 
 
+def _recurse(coef: np.ndarray, steps: list[float], seed: float, log_seed: float) -> np.ndarray:
+    """The linear recursion behind both engines.
+
+    Returns w_0..w_n for n = len(steps), with w_0 = seed * exp(log_seed) and
+    w_n = steps[n-1] * (coef_1 w_{n-1} + ... + coef_m w_{n-m}), m = min(n, coef.size - 1).
+    The work runs on mantissas that share one exponent: whenever a value
+    passes 1e280 the whole prefix is scaled down by e^-600, so a seed far
+    below the double range still carries the recursion.
+    """
+    n_out = len(steps)
+    n_coef = coef.size - 1
+    work = np.zeros(n_out + 1)
+    work[0] = seed
+    log_scale = log_seed
+    for n in range(1, n_out + 1):
+        m = min(n, n_coef)
+        work[n] = steps[n - 1] * float(np.dot(coef[1 : m + 1], work[n - 1 :: -1][:m]))
+        if work[n] > _RESCALE_AT:
+            work[: n + 1] *= math.exp(-_RESCALE_LOG)
+            log_scale += _RESCALE_LOG
+
+    if log_scale > -700.0:
+        return work * math.exp(log_scale)
+    with np.errstate(divide="ignore"):
+        return np.where(work > 0.0, np.exp(np.log(np.maximum(work, 1e-320)) + log_scale), 0.0)
+
+
 def panjer(rate: float, severity: LatticeDistribution, n_out: int) -> LatticeDistribution:
     """Compound Poisson masses on the lattice by the aggregate recursion.
 
@@ -182,26 +206,8 @@ def panjer(rate: float, severity: LatticeDistribution, n_out: int) -> LatticeDis
             UnderflowWarning,
             stacklevel=2,
         )
-
-    n_sev = f.size - 1
-    xf = np.arange(f.size) * f
-    work = np.zeros(n_out + 1)
-    work[0] = 1.0
-    log_scale = -rate
-    for n in range(1, n_out + 1):
-        m = min(n, n_sev)
-        acc = float(np.dot(xf[1 : m + 1], work[n - 1 :: -1][:m]))
-        work[n] = (rate / n) * acc
-        if work[n] > _RESCALE_AT:
-            work[: n + 1] *= math.exp(-_RESCALE_LOG)
-            log_scale += _RESCALE_LOG
-
-    if log_scale > -700.0:
-        masses = work * math.exp(log_scale)
-    else:
-        with np.errstate(divide="ignore"):
-            masses = np.where(work > 0.0, np.exp(np.log(np.maximum(work, 1e-320)) + log_scale), 0.0)
-    return LatticeDistribution(severity.span, masses)
+    steps = (rate / np.arange(1, n_out + 1)).tolist()
+    return LatticeDistribution(severity.span, _recurse(np.arange(f.size) * f, steps, 1.0, -rate))
 
 
 @dataclass(frozen=True)
@@ -209,8 +215,8 @@ class CompoundGeometric:
     """Result of the compound-geometric recursion.
 
     ``dist`` carries the masses l_0..l_{n_out}; ``upper`` is the running
-    tail sequence r_n = sum_{m >= n} l_m for n = 0..n_out+1, computed by
-    r_0 = 1, r_n = r_{n-1} - l_{n-1}.
+    tail sequence r_n = sum_{m >= n} l_m for n = 0..n_out+1: one, then the
+    tails of ``dist``.
     """
 
     dist: LatticeDistribution
@@ -230,18 +236,7 @@ def compound_geometric(
     if n_out < 1:
         raise DomainError(f"n_out must be >= 1, got {n_out}")
     k = _checked_severity(ladder, "ladder-height")
-    n_lad = k.size - 1
-
-    l = np.zeros(n_out + 1)
-    l[0] = 1.0 - r
-    for n in range(1, n_out + 1):
-        m = min(n, n_lad)
-        l[n] = r * float(np.dot(k[1 : m + 1], l[n - 1 :: -1][:m]))
-
-    upper = np.empty(n_out + 2)
-    upper[0] = 1.0
-    for n in range(1, n_out + 2):
-        upper[n] = upper[n - 1] - l[n - 1]
-    upper = np.maximum(upper, 0.0)
+    dist = LatticeDistribution(ladder.span, _recurse(k, [r] * n_out, 1.0 - r, 0.0))
+    upper = np.maximum(np.concatenate(([1.0], dist.tails)), 0.0)
     upper.setflags(write=False)
-    return CompoundGeometric(LatticeDistribution(ladder.span, l), upper)
+    return CompoundGeometric(dist, upper)

@@ -26,16 +26,8 @@ from .errors import (
     RootBracketError,
 )
 from .lattice import LatticeDistribution, compound_geometric, panjer
-from .rootfind import safeguarded_newton
-from .severity import (
-    Exponential,
-    Lattice,
-    MixtureOfExponentials,
-    PointMass,
-    SeverityModel,
-    discretize,
-    discretize_ladder,
-)
+from .rootfind import expand_lower, expand_upper, safeguarded_newton
+from .severity import Lattice, SeverityModel, discretize, discretize_ladder
 
 __all__ = [
     "RiskSystem",
@@ -50,8 +42,6 @@ __all__ = [
     "FiniteTimeBound",
     "RuinTimeNormal",
     "CompositeSplit",
-    "RuinEstimate",
-    "RuinReport",
     "ladder",
     "ruin_panjer",
     "lundberg",
@@ -223,33 +213,16 @@ def lundberg(system: RiskSystem) -> LundbergSolution:
 
     positive = system.loading > 0.0
     if positive:
-        # expand hi toward the abscissa; phi(0) < 0 and phi -> +inf for our variants
-        lo, hi = 0.0, 0.0
-        limit = model.xi_bar
-        best = -math.inf
-        found = False
-        for _ in range(200):
-            hi = hi * 2.0 if limit == math.inf and hi > 0 else (
-                1.0 if limit == math.inf else limit - 0.5 * (limit - hi)
-            )
-            val = phi(hi)
-            best = max(best, val)
-            if val > 0.0:
-                found = True
-                break
-        if not found:
+        # phi(0) < 0 and phi -> +inf toward the abscissa for every severity kind
+        lo, hi = 0.0, expand_upper(phi, 0.0, model.xi_bar)
+        if math.isnan(hi):
             raise NoRootError(
-                f"g(a)/a stays below the premium rate {c} on (0, {limit}); "
-                f"supremum reached {best + c}",
-                supremum=best + c,
+                f"g(a)/a stays below the premium rate {c} on (0, {model.xi_bar})"
             )
     else:
-        hi = 0.0
-        lo = -1.0
-        while phi(lo) >= 0.0:
-            lo *= 2.0
-            if lo < -1e12:
-                raise NoRootError("no negative root found", supremum=None)
+        lo, hi = expand_lower(phi, 0.0), 0.0
+        if math.isnan(lo):
+            raise NoRootError("no negative root found")
     root = safeguarded_newton(phi, phi_prime, lo, hi, rtol=1e-15)
     residual = model.g(root) - c * root
     if abs(residual) > 1e-12 * max(1.0, abs(c * root)):
@@ -319,19 +292,13 @@ class MixtureRuin:
     dominant: float
 
 
-def _as_mixture(severity: SeverityModel) -> MixtureOfExponentials:
-    if isinstance(severity, MixtureOfExponentials):
-        return severity
-    if isinstance(severity, Exponential):
-        return MixtureOfExponentials((1.0,), (severity.rate,))
-    raise DomainError("exact evaluation needs an exponential or mixture severity")
-
-
 def mixture_exact(system: RiskSystem, u: float) -> MixtureRuin:
     system._require_positive_loading("the exact mixture formula")
     if u < 0.0:
         raise DomainError(f"capital must be nonnegative, got {u}")
-    mix = _as_mixture(system.model.severity)
+    mix = system.model.severity.as_mixture()
+    if mix is None:
+        raise DomainError("exact evaluation needs an exponential or mixture severity")
     lam, c = system.model.rate, system.premium_rate
     w = np.asarray(mix.weights)
     b = np.asarray(mix.rates)
@@ -408,18 +375,20 @@ def non_ruin_zero(system: RiskSystem, t: float, aggregate: LatticeDistribution) 
 
 
 def _lattice_severity(system: RiskSystem, d: float | None, tail_tol: float) -> tuple[LatticeDistribution, float]:
-    """Severity as lattice masses (index 0 present, zero there) plus span."""
+    """Severity as lattice masses (index 0 present, zero there) plus span.
+
+    The span defaults to the severity's own lattice span. A lattice
+    severity keeps its exact masses and admits no other span.
+    """
     sev = system.model.severity
+    span = sev.lattice_span if d is None else d
+    if span is None:
+        raise GridError("continuous severity: a discretization span is required")
     if isinstance(sev, Lattice):
-        if d is not None and abs(d - sev.span) > 1e-12 * sev.span:
+        if abs(span - sev.span) > 1e-12 * sev.span:
             raise GridError(f"severity lattice has span {sev.span}, requested {d}")
         return sev.as_distribution(), sev.span
-    if isinstance(sev, PointMass):
-        span = d if d is not None else sev.location
-        return discretize(sev, span, tail_tol=tail_tol), span
-    if d is None:
-        raise GridError("continuous severity: a discretization span is required")
-    return discretize(sev, d, tail_tol=tail_tol), d
+    return discretize(sev, span, tail_tol=tail_tol), span
 
 
 @dataclass(frozen=True)
@@ -701,27 +670,3 @@ def composite_split(
         pooled_value,
         k1 * k2 / pooled_const,
     )
-
-
-# ---------------------------------------------------------------------------
-# Report container (serialized by the CLI)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RuinEstimate:
-    """One ruin-probability figure with its provenance."""
-
-    method: str
-    u: float
-    t: float | None
-    value: float
-    error: float | None = None
-
-
-@dataclass
-class RuinReport:
-    """Adjustment-coefficient constants plus per-method ruin estimates."""
-
-    solution: LundbergSolution | None
-    entries: list[RuinEstimate]

@@ -69,6 +69,15 @@ class SeverityModel:
         """The exponentially reweighted law e^{a x} F(dx) / f(a), same family."""
         raise NotImplementedError
 
+    @property
+    def lattice_span(self) -> float | None:
+        """Span of the lattice the claims live on, or None for a density."""
+        return None
+
+    def as_mixture(self) -> "MixtureOfExponentials | None":
+        """The law as a mixture of exponentials, or None if it is not one."""
+        return None
+
     def coverage_cells(self, d: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
         """Smallest n with P(X > n*d) <= tail_tol."""
         if not d > 0.0:
@@ -128,6 +137,9 @@ class Exponential(SeverityModel):
     def tilt(self, a: float) -> "Exponential":
         self._check_tilt(a)
         return Exponential(self.rate - a)
+
+    def as_mixture(self) -> "MixtureOfExponentials":
+        return MixtureOfExponentials((1.0,), (self.rate,))
 
     def coverage_cells(self, d: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
         if not d > 0.0:
@@ -230,6 +242,10 @@ class PointMass(SeverityModel):
     def tilt(self, a: float) -> "PointMass":
         return self
 
+    @property
+    def lattice_span(self) -> float:
+        return self.location
+
     def coverage_cells(self, d: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
         if not d > 0.0:
             raise DomainError(f"span must be positive, got {d}")
@@ -307,6 +323,9 @@ class MixtureOfExponentials(SeverityModel):
         new_w /= new_w.sum()
         return MixtureOfExponentials(tuple(new_w), tuple(b - a))
 
+    def as_mixture(self) -> "MixtureOfExponentials":
+        return self
+
 
 @dataclass(frozen=True)
 class Lattice(SeverityModel):
@@ -369,6 +388,10 @@ class Lattice(SeverityModel):
         w = f * np.exp(a * x)
         w /= w.sum()
         return Lattice(self.span, tuple(w))
+
+    @property
+    def lattice_span(self) -> float:
+        return self.span
 
     def coverage_cells(self, d: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
         if not d > 0.0:

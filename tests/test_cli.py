@@ -98,6 +98,7 @@ def test_parse_defaults(tmp_path):
         lambda t: t.replace("}", ""),  # unterminated block
         lambda t: t.replace("lambda = 1.0", "lambda = 1.0\nlambda = 2.0"),
         lambda t: t.replace("rate = 1.0", "rate = -1.0"),  # invalid domain
+        lambda t: t + "time_step = 0.1\n",  # removed key
     ],
 )
 def test_parse_errors(tmp_path, mutation):
@@ -264,13 +265,15 @@ def test_ruin_time_golden_csv(exp_model):
 # ---------------------------------------------------------------------------
 
 
-def test_seal_zero_capital_cross_check(unit_model):
-    code, out = run(["seal", unit_model, "--u", "0", "--t", "2", "--format", "csv"])
-    assert code == 0
-    rows = {row[0]: row for row in csv_rows(out)}
-    assert float(rows["seal"][3]) == pytest.approx(
-        float(rows["one-minus-non-ruin-zero"][3]), abs=1e-9
-    )
+def test_seal_zero_capital_cross_check(unit_model, exp_model):
+    # the second case puts c*t = 10.075 between lattice points of span 0.02
+    for argv in ([unit_model, "--t", "2"], [exp_model, "--t", "8.06", "--span", "0.02"]):
+        code, out = run(["seal", *argv, "--u", "0", "--format", "csv"])
+        assert code == 0
+        rows = {row[0]: row for row in csv_rows(out)}
+        assert float(rows["seal"][3]) == pytest.approx(
+            float(rows["one-minus-non-ruin-zero"][3]), abs=1e-9
+        )
 
 
 def test_seal_capital_off_grid_is_domain_error(unit_model):
@@ -300,6 +303,20 @@ def test_portfolio_report(tmp_path):
     # compound approximation within the advertised bound
     assert abs(tails[2.5][0] - tails[2.5][1]) <= 0.05 + 1e-9
     assert abs(tails[0.5][0] - tails[0.5][1]) <= 1e-12  # matched by construction
+
+
+def test_portfolio_bound_covers_one_policy_gap(tmp_path):
+    policy_file = tmp_path / "one.csv"
+    policy_file.write_text("1, 0.5\n")
+    code, out = run(["portfolio", str(policy_file), "--x", "1.5", "--format", "csv"])
+    assert code == 0
+    rows = csv_rows(out)
+    bound = {row[1]: float(row[2]) for row in rows if row[0] == "summary"}["approximation-bound"]
+    (tail,) = [row for row in rows if row[0] == "tail"]
+    gap = abs(float(tail[2]) - float(tail[3]))
+    # exact P(L > 1.5) = 0 against compound P(N >= 2) with N ~ Poisson(log 2)
+    assert gap == pytest.approx(0.5 + 0.5 * math.log(0.5), rel=1e-9)
+    assert bound >= gap - 1e-12
 
 
 def test_portfolio_bad_file(tmp_path):

@@ -407,6 +407,17 @@ def test_compound_poisson_approximation_bound():
     assert worst <= portfolio.sum_p_squared / 2.0 + 1e-9
 
 
+@pytest.mark.parametrize("p", [1e-6, 0.3, 0.5, 0.9])
+def test_approximation_bound_is_the_total_variation_sum(p):
+    portfolio = Portfolio((Policy(1.0, p), Policy(2.0, p)))
+    if p < 1e-3:  # the closed form cancels here; its leading term p^2/2 per policy does not
+        expected, rel = p * p, 1e-6
+    else:
+        expected, rel = 2.0 * (p + (1.0 - p) * math.log1p(-p)), 1e-12
+    assert portfolio.approximation_bound == pytest.approx(expected, rel=rel)
+    assert portfolio.approximation_bound >= portfolio.sum_p_squared / 2.0
+
+
 # ---------------------------------------------------------------------------
 # truncation helper
 # ---------------------------------------------------------------------------

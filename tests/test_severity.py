@@ -301,6 +301,25 @@ def test_invalid_parameters():
         Lattice(1.0, (0.5, 0.4))
 
 
+_MIX = MixtureOfExponentials((0.5, 0.5), (1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "model, span, mixture",
+    [
+        (Exponential(2.0), None, MixtureOfExponentials((1.0,), (2.0,))),
+        (Gamma(3.0), None, None),
+        (_MIX, None, _MIX),
+        (PointMass(1.5), 1.5, None),
+        (Lattice(0.5, (0.25, 0.75)), 0.5, None),
+    ],
+    ids=["exponential", "gamma", "mixture", "point", "lattice"],
+)
+def test_lattice_span_and_mixture_view(model, span, mixture):
+    assert model.lattice_span == span
+    assert model.as_mixture() == mixture
+
+
 def test_convergence_abscissa():
     assert Exponential(2.0).xi_bar == 2.0
     assert Gamma(3.0).xi_bar == 1.0
