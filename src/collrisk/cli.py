@@ -578,7 +578,7 @@ def cmd_seal(spec: ModelSpec, args: argparse.Namespace, out) -> int:
     t = args.t
     sev = system.model.severity
     # a true lattice severity fixes the span; point masses discretize exactly
-    span = None if isinstance(sev, Lattice) else controls.span
+    span = None if sev.as_distribution() is not None else controls.span
     effective = sev.lattice_span if span is None else span
     _check_lattice_budget(
         controls, int(math.ceil((args.u + system.premium_rate * t) / effective))

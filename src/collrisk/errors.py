@@ -44,10 +44,6 @@ class LoadingError(CollRiskError):
 class NoRootError(CollRiskError):
     """The adjustment-coefficient equation has no root on the open branch."""
 
-    def __init__(self, message: str, supremum: float | None = None):
-        super().__init__(message)
-        self.supremum = supremum
-
 
 class ConvergenceError(CollRiskError):
     """An iterative solver exhausted its iteration budget."""

@@ -29,12 +29,7 @@ _RESCALE_LOG = 600.0
 
 def _tails_from_masses(masses: np.ndarray) -> np.ndarray:
     """Upper tails G_m = P(> m*d) by the sequential update G_m = G_{m-1} - g_m."""
-    tails = np.empty_like(masses)
-    running = 1.0
-    for m, g in enumerate(masses):
-        running -= g
-        tails[m] = running
-    return tails
+    return np.subtract.accumulate(np.concatenate(([1.0], masses)))[1:]
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 Independent of every analytic routine in the library, this module samples
 claim arrival paths and estimates tail probabilities, ruin frequencies and
-ruin-time statistics with standard errors. Reproducibility is strict:
-paths are generated in fixed-size chunks, each from its own counter-based
-substream keyed by (seed, chunk index), and all reductions run in a fixed
-pairwise order, so results are bit-identical for any worker count.
+ruin-time statistics with standard errors. Claim sizes come from each
+severity's ``sample``, which uses only the law's parameters and none of
+its transforms. Reproducibility is strict: paths are generated in
+fixed-size chunks, each from its own counter-based substream keyed by
+(seed, chunk index), and all reductions run in a fixed pairwise order,
+so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -16,18 +18,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .errors import BudgetError, DomainError, InsufficientRuinsError
 from .ruin import RiskSystem, lundberg
-from .severity import (
-    Exponential,
-    Gamma,
-    Lattice,
-    MixtureOfExponentials,
-    PointMass,
-    SeverityModel,
-)
+from .severity import SeverityModel
 
 __all__ = [
     "SimulationPlan",
@@ -44,77 +38,14 @@ __all__ = [
 Sampler = Callable[[np.random.Generator, int], np.ndarray]
 
 
-# ---------------------------------------------------------------------------
-# Severity sampling (inversion / alias; no data-dependent rejection loops)
-# ---------------------------------------------------------------------------
-
-
-def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walker alias table; construction order is deterministic."""
-    k = p.size
-    prob = np.zeros(k)
-    alias = np.zeros(k, dtype=np.int64)
-    scaled = list(p * k)
-    small = [i for i in range(k) if scaled[i] < 1.0]
-    large = [i for i in range(k) if scaled[i] >= 1.0]
-    while small and large:
-        s, l = small.pop(), large.pop()
-        prob[s] = scaled[s]
-        alias[s] = l
-        scaled[l] -= 1.0 - scaled[s]
-        (small if scaled[l] < 1.0 else large).append(l)
-    for i in large:
-        prob[i] = 1.0
-    for i in small:
-        prob[i] = 1.0
-    return prob, alias
-
-
 def severity_sampler(severity: SeverityModel) -> Sampler:
-    """Vectorized sampler with a fixed draw schedule per event."""
-    if isinstance(severity, Exponential):
-        rate = severity.rate
+    """The severity's own draw rule, ``severity.sample``.
 
-        def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-            return -np.log1p(-rng.random(n)) / rate
-
-    elif isinstance(severity, PointMass):
-        location = severity.location
-
-        def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-            return np.full(n, location)
-
-    elif isinstance(severity, MixtureOfExponentials):
-        cumw = np.cumsum(np.asarray(severity.weights))
-        rates = np.asarray(severity.rates)
-
-        def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-            comp = np.minimum(
-                np.searchsorted(cumw, rng.random(n), side="right"), rates.size - 1
-            )
-            return -np.log1p(-rng.random(n)) / rates[comp]
-
-    elif isinstance(severity, Gamma):
-        shape, scale = severity.shape, severity.scale
-
-        def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-            return special.gammaincinv(shape, rng.random(n)) * scale
-
-    elif isinstance(severity, Lattice):
-        prob, alias = _alias_table(np.asarray(severity.masses))
-        span = severity.span
-        k = prob.size
-
-        def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-            v = rng.random(n) * k
-            idx = v.astype(np.int64)
-            frac = v - idx
-            chosen = np.where(frac < prob[idx], idx, alias[idx])
-            return (chosen + 1) * span
-
-    else:
-        raise DomainError(f"no sampler for severity {type(severity).__name__}")
-    return sample
+    ``simulate`` fetches its sampler through this module-level name rather
+    than reading ``severity.sample`` itself, so that a caller can wrap the
+    name to observe both the lookup and every draw.
+    """
+    return severity.sample
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .lattice import LatticeDistribution, compound_geometric, panjer
 from .rootfind import expand_lower, expand_upper, safeguarded_newton
-from .severity import Lattice, SeverityModel, discretize, discretize_ladder
+from .severity import SeverityModel, discretize, discretize_ladder
 
 __all__ = [
     "RiskSystem",
@@ -226,7 +226,7 @@ def lundberg(system: RiskSystem) -> LundbergSolution:
     root = safeguarded_newton(phi, phi_prime, lo, hi, rtol=1e-15)
     residual = model.g(root) - c * root
     if abs(residual) > 1e-12 * max(1.0, abs(c * root)):
-        raise NoRootError(f"root residual {residual} out of tolerance", supremum=None)
+        raise NoRootError(f"root residual {residual} out of tolerance")
     gp = model.g_prime(root)
     constant = (c - mean) / (gp - c)
     time_scale = 1.0 / (gp - c) if positive else 1.0 / (c - gp)
@@ -384,10 +384,11 @@ def _lattice_severity(system: RiskSystem, d: float | None, tail_tol: float) -> t
     span = sev.lattice_span if d is None else d
     if span is None:
         raise GridError("continuous severity: a discretization span is required")
-    if isinstance(sev, Lattice):
-        if abs(span - sev.span) > 1e-12 * sev.span:
-            raise GridError(f"severity lattice has span {sev.span}, requested {d}")
-        return sev.as_distribution(), sev.span
+    exact = sev.as_distribution()
+    if exact is not None:
+        if abs(span - exact.span) > 1e-12 * exact.span:
+            raise GridError(f"severity lattice has span {exact.span}, requested {d}")
+        return exact, exact.span
     return discretize(sev, span, tail_tol=tail_tol), span
 
 
@@ -499,7 +500,7 @@ def hitting_below(
 
     value_by_t = None
     if t is not None:
-        if not t > u / system.premium_rate:
+        if not t >= u / system.premium_rate:
             value_by_t = 0.0  # the drift cannot reach -u before u/c
         else:
             value_by_t = _hitting_by(system, u, t, d, tail_tol)

@@ -2,7 +2,8 @@
 
 Each severity variant carries closed forms for the moment generating
 function f, its first two derivatives, raw moments, the survival function,
-the exponential tilt, and lattice discretizations. All variants have a
+the exponential tilt, and lattice discretizations, plus its Monte Carlo
+draw rule, which uses only the law's parameters. All variants have a
 strictly positive convergence abscissa, so the whole large-deviation
 apparatus downstream applies; heavy-tailed laws without a generating
 function are out of scope by design.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -78,6 +80,18 @@ class SeverityModel:
         """The law as a mixture of exponentials, or None if it is not one."""
         return None
 
+    def as_distribution(self) -> LatticeDistribution | None:
+        """The law's exact masses on its fixed lattice span, or None.
+
+        Only a lattice law fixes its span; a point mass returns None so
+        that callers discretize it on the span they choose.
+        """
+        return None
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n independent claim sizes, with a fixed draw schedule per claim."""
+        raise NotImplementedError
+
     def coverage_cells(self, d: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
         """Smallest n with P(X > n*d) <= tail_tol."""
         if not d > 0.0:
@@ -141,6 +155,9 @@ class Exponential(SeverityModel):
     def as_mixture(self) -> "MixtureOfExponentials":
         return MixtureOfExponentials((1.0,), (self.rate,))
 
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return -np.log1p(-rng.random(n)) / self.rate
+
     def coverage_cells(self, d: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
         if not d > 0.0:
             raise DomainError(f"span must be positive, got {d}")
@@ -200,6 +217,9 @@ class Gamma(SeverityModel):
         self._check_tilt(a)
         return Gamma(self.shape, self.scale / (1.0 - self.scale * a))
 
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return special.gammaincinv(self.shape, rng.random(n)) * self.scale
+
     def coverage_cells(self, d: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
         if not d > 0.0:
             raise DomainError(f"span must be positive, got {d}")
@@ -242,6 +262,9 @@ class PointMass(SeverityModel):
     def tilt(self, a: float) -> "PointMass":
         return self
 
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.full(n, self.location)
+
     @property
     def lattice_span(self) -> float:
         return self.location
@@ -249,7 +272,8 @@ class PointMass(SeverityModel):
     def coverage_cells(self, d: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
         if not d > 0.0:
             raise DomainError(f"span must be positive, got {d}")
-        return max(1, math.ceil(self.location / d - 1e-12))
+        n = max(1, math.ceil(self.location / d - 1e-12))
+        return n if n * d >= self.location else n + 1  # n*d rounded below the point
 
 
 @dataclass(frozen=True)
@@ -326,6 +350,13 @@ class MixtureOfExponentials(SeverityModel):
     def as_mixture(self) -> "MixtureOfExponentials":
         return self
 
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        w, rates = self._arrays()
+        comp = np.minimum(
+            np.searchsorted(np.cumsum(w), rng.random(n), side="right"), rates.size - 1
+        )
+        return -np.log1p(-rng.random(n)) / rates[comp]
+
 
 @dataclass(frozen=True)
 class Lattice(SeverityModel):
@@ -396,14 +427,44 @@ class Lattice(SeverityModel):
     def coverage_cells(self, d: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
         if not d > 0.0:
             raise DomainError(f"span must be positive, got {d}")
-        return max(1, math.ceil(len(self.masses) * self.span / d - 1e-12))
-
-    def full_masses(self) -> np.ndarray:
-        """Masses including the zero point (always 0 there)."""
-        return np.concatenate([[0.0], np.asarray(self.masses)])
+        n = max(1, math.ceil(len(self.masses) * self.span / d - 1e-12))
+        return n if self.sf(n * d) <= tail_tol else n + 1  # n*d rounded below the top
 
     def as_distribution(self) -> LatticeDistribution:
-        return LatticeDistribution(self.span, self.full_masses())
+        return LatticeDistribution(self.span, np.concatenate([[0.0], self.masses]))
+
+    @cached_property
+    def _alias(self) -> tuple[np.ndarray, np.ndarray]:
+        return _alias_table(np.asarray(self.masses))
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        prob, alias = self._alias
+        v = rng.random(n) * prob.size
+        idx = v.astype(np.int64)
+        frac = v - idx
+        chosen = np.where(frac < prob[idx], idx, alias[idx])
+        return (chosen + 1) * self.span
+
+
+def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker alias table (Walker, ACM TOMS 3, 1977); construction order is deterministic."""
+    k = p.size
+    prob = np.zeros(k)
+    alias = np.zeros(k, dtype=np.int64)
+    scaled = list(p * k)
+    small = [i for i in range(k) if scaled[i] < 1.0]
+    large = [i for i in range(k) if scaled[i] >= 1.0]
+    while small and large:
+        s, l = small.pop(), large.pop()
+        prob[s] = scaled[s]
+        alias[s] = l
+        scaled[l] -= 1.0 - scaled[s]
+        (small if scaled[l] < 1.0 else large).append(l)
+    for i in large:
+        prob[i] = 1.0
+    for i in small:
+        prob[i] = 1.0
+    return prob, alias
 
 
 def discretize(

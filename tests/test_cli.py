@@ -276,6 +276,20 @@ def test_seal_zero_capital_cross_check(unit_model, exp_model):
         )
 
 
+def test_seal_lattice_severity_ignores_span(tmp_path):
+    (tmp_path / "sev.txt").write_text("0.5 0.2\n1.0 0.5\n1.5 0.3\n")
+    model = tmp_path / "lat.model"
+    model.write_text(
+        "lambda = 1\npremium_rate = 1.25\nseverity {\nkind = lattice\n"
+        "span = 0.5\nfile = sev.txt\n}\n"
+    )
+    base = run(["seal", str(model), "--u", "1", "--t", "4", "--format", "csv"])
+    assert base[0] == 0
+    for span in ("0.05", "0.3"):
+        assert run(["seal", str(model), "--u", "1", "--t", "4", "--span", span,
+                    "--format", "csv"]) == base
+
+
 def test_seal_capital_off_grid_is_domain_error(unit_model):
     code, out = run(["seal", unit_model, "--u", "0.13", "--t", "2"])
     assert code == 3

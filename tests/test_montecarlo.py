@@ -256,6 +256,37 @@ def test_lattice_sampler_frequencies():
         assert abs(freq - mass) <= 3.5 * se
 
 
+@pytest.mark.parametrize(
+    "severity,first_draws",
+    [
+        (Exponential(1.5), [
+            0.4851663141167238, 0.13539754797292897, 0.15954684822743706,
+            0.1571222342324115, 0.300464801800098, 0.07493054922086588,
+            1.7370221211541443, 0.41256011959961375,
+        ]),
+        (Gamma(2.5), [
+            2.2383953295508623, 1.116003163898553, 1.214449922139716,
+            1.2048430660269558, 1.704551953438381, 0.8308447365236692,
+            5.024409434776106, 2.0378521730781314,
+        ]),
+        (PointMass(1.25), [1.25] * 8),
+        (MixtureOfExponentials((0.4, 0.6), (0.5, 2.0)), [
+            0.6486598222165916, 0.06613930527618558, 3.035333791422367,
+            10.294138429944685, 2.356557913628319, 3.325928875508078,
+            1.62249959657615, 0.21891128328051002,
+        ]),
+        (Lattice(0.25, (0.1, 0.05, 0.4, 0.15, 0.3)), [
+            0.75, 0.75, 0.5, 0.5, 1.25, 0.75, 0.75, 0.75,
+        ]),
+    ],
+    ids=["exponential", "gamma", "point", "mixture", "lattice"],
+)
+def test_severity_sample_stream_is_pinned(severity, first_draws):
+    # recorded values: any change to a draw rule changes every simulation
+    rng = np.random.Generator(np.random.Philox(key=[123, 0]))
+    assert severity.sample(rng, 8).tolist() == first_draws
+
+
 # ---------------------------------------------------------------------------
 # conditional ruin-time study
 # ---------------------------------------------------------------------------

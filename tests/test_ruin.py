@@ -377,6 +377,26 @@ def test_hitting_below_before_drift_reaches():
     assert result.value_by_t == 0.0
 
 
+def test_hitting_below_at_drift_reach_time():
+    # at t = u/c exactly the no-claim path has just reached -u
+    sys = RiskSystem(CompoundModel(1.0, Exponential(1.0)), 0.8, 0.0)
+    no_claim = math.exp(-1.0 * 2.0 / 0.8)
+    at = hitting_below(sys, 2.0, t=2.5, d=0.01).value_by_t
+    after = hitting_below(sys, 2.0, t=2.5 * (1.0 + 1e-12), d=0.01).value_by_t
+    assert at == pytest.approx(no_claim, rel=1e-12)
+    assert at == after
+
+
+def test_lattice_severity_fixes_the_span():
+    sys = RiskSystem(CompoundModel(1.0, Lattice(0.5, (0.2, 0.5, 0.3))), 1.25, 1.0)
+    with pytest.raises(GridError):
+        seal(sys, 4.0, d=0.25)
+    with pytest.raises(GridError):
+        hitting_below(sys, 1.0, t=4.0, d=0.25)
+    assert seal(sys, 4.0) == seal(sys, 4.0, d=0.5)
+    assert hitting_below(sys, 1.0, t=4.0) == hitting_below(sys, 1.0, t=4.0, d=0.5)
+
+
 def test_hitting_below_finite_time_convergence():
     # the finite-horizon sum must increase to the discretized model's own
     # infinite-horizon value exp(R_d * u)

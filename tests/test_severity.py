@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -244,6 +244,10 @@ def test_discretize_truncation():
 
 @settings(max_examples=25, deadline=None)
 @given(all_severities, st.floats(0.05, 0.5))
+# atoms just above a rounded cell edge: 2*d and 3*0.3 round to below 1 and 0.9
+@example(PointMass(1.0), 0.49999999999999994)
+@example(PointMass(0.9), 0.3)
+@example(Lattice(0.5, (0.4, 0.6)), 0.49999999999999994)
 def test_discretize_mass_is_one(model, d):
     dist = discretize(model, d)
     assert float(dist.masses.sum()) == pytest.approx(1.0, abs=1e-12)
@@ -305,19 +309,25 @@ _MIX = MixtureOfExponentials((0.5, 0.5), (1.0, 2.0))
 
 
 @pytest.mark.parametrize(
-    "model, span, mixture",
+    "model, span, mixture, masses",
     [
-        (Exponential(2.0), None, MixtureOfExponentials((1.0,), (2.0,))),
-        (Gamma(3.0), None, None),
-        (_MIX, None, _MIX),
-        (PointMass(1.5), 1.5, None),
-        (Lattice(0.5, (0.25, 0.75)), 0.5, None),
+        (Exponential(2.0), None, MixtureOfExponentials((1.0,), (2.0,)), None),
+        (Gamma(3.0), None, None, None),
+        (_MIX, None, _MIX, None),
+        (PointMass(1.5), 1.5, None, None),
+        (Lattice(0.5, (0.25, 0.75)), 0.5, None, [0.0, 0.25, 0.75]),
     ],
     ids=["exponential", "gamma", "mixture", "point", "lattice"],
 )
-def test_lattice_span_and_mixture_view(model, span, mixture):
+def test_lattice_span_and_mixture_view(model, span, mixture, masses):
     assert model.lattice_span == span
     assert model.as_mixture() == mixture
+    dist = model.as_distribution()
+    if masses is None:
+        assert dist is None
+    else:
+        assert dist.span == span
+        assert dist.masses.tolist() == masses
 
 
 def test_convergence_abscissa():
