@@ -35,15 +35,11 @@ from .errors import (
     DomainError,
     GridError,
     InsufficientRuinsError,
-    LatticeSeverityError,
-    LoadingError,
     NoRootError,
     ParseError,
     RootBracketError,
-    SizeError,
-    TailError,
 )
-from .lattice import panjer
+from .lattice import LatticeDistribution, panjer, steps_to, steps_within
 from .ruin import (
     LundbergSolution,
     RiskSystem,
@@ -73,6 +69,7 @@ EXIT_DOMAIN = 3
 EXIT_CONVERGENCE = 4
 EXIT_BUDGET = 5
 
+# every other CollRiskError exits with EXIT_DOMAIN
 _EXIT_CODES: tuple[tuple[type, int], ...] = (
     (ParseError, EXIT_PARSE),
     (ConvergenceError, EXIT_CONVERGENCE),
@@ -80,12 +77,6 @@ _EXIT_CODES: tuple[tuple[type, int], ...] = (
     (RootBracketError, EXIT_CONVERGENCE),
     (BudgetError, EXIT_BUDGET),
     (InsufficientRuinsError, EXIT_BUDGET),
-    (LoadingError, EXIT_DOMAIN),
-    (DomainError, EXIT_DOMAIN),
-    (GridError, EXIT_DOMAIN),
-    (TailError, EXIT_DOMAIN),
-    (SizeError, EXIT_DOMAIN),
-    (LatticeSeverityError, EXIT_DOMAIN),
 )
 
 
@@ -329,21 +320,18 @@ def _render(header: list[str], rows: list[tuple], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+# command-line flag -> the Controls field it overrides
+_OVERRIDES = {"span": "span", "seed": "mc_seed", "paths": "mc_paths", "horizon": "mc_horizon"}
+
+
 def _apply_overrides(spec: ModelSpec, args: argparse.Namespace) -> ModelSpec:
-    controls = spec.controls
-    if getattr(args, "span", None) is not None:
-        controls = replace(controls, span=args.span)
-    if getattr(args, "seed", None) is not None:
-        controls = replace(controls, mc_seed=args.seed)
-    if getattr(args, "paths", None) is not None:
-        controls = replace(controls, mc_paths=args.paths)
-    if getattr(args, "horizon", None) is not None:
-        controls = replace(controls, mc_horizon=args.horizon)
-    return ModelSpec(spec.system, controls)
+    given = {field: getattr(args, flag, None) for flag, field in _OVERRIDES.items()}
+    controls = replace(spec.controls, **{k: v for k, v in given.items() if v is not None})
+    return replace(spec, controls=controls)
 
 
 def _check_lattice_budget(controls: Controls, needed: int) -> None:
-    # n_out caps how many lattice steps a command may compute
+    # n_out caps how many lattice steps a command's recursion computes
     if controls.n_out is not None and needed > controls.n_out:
         raise GridError(
             f"command needs {needed} lattice steps but n_out caps it at {controls.n_out}; "
@@ -351,13 +339,31 @@ def _check_lattice_budget(controls: Controls, needed: int) -> None:
         )
 
 
+def _severity_lattice(sev: SeverityModel, span: float) -> LatticeDistribution:
+    """The law's exact lattice masses if it has them, else its discretization on ``span``."""
+    exact = sev.as_distribution()
+    return exact if exact is not None else discretize(sev, span)
+
+
+def _plan(
+    system: RiskSystem, controls: Controls, horizon: float, workers: int, **probes
+) -> montecarlo.SimulationPlan:
+    return montecarlo.SimulationPlan(
+        system=system,
+        horizon=horizon,
+        n_paths=controls.mc_paths,
+        seed=controls.mc_seed,
+        workers=workers,
+        **probes,
+    )
+
+
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each builds its rows and returns the text to print
 # ---------------------------------------------------------------------------
 
 
-def cmd_tail(spec: ModelSpec, args: argparse.Namespace, out) -> int:
-    spec = _apply_overrides(spec, args)
+def cmd_tail(spec: ModelSpec, args: argparse.Namespace) -> str:
     system, controls = spec.system, spec.controls
     model = system.model
     t, x = args.t, args.x
@@ -387,149 +393,85 @@ def cmd_tail(spec: ModelSpec, args: argparse.Namespace, out) -> int:
     if span is None:
         span = controls.span
         note = f"discretized (d={span:g})"
-    _check_lattice_budget(controls, int(math.ceil(t * x / span)))
     # P(S(t) >= t*x) is the tail above the last cell below t*x
-    m_star = int(math.ceil(t * x / span - 1e-9))
-    agg = panjer(model.rate * t, discretize(model.severity, span), max(m_star, 1))
+    m_star = steps_to(t * x, span)
+    n_cells = max(m_star, 1)
+    _check_lattice_budget(controls, n_cells)
+    agg = panjer(model.rate * t, _severity_lattice(model.severity, span), n_cells)
     rows.append(("panjer", t, x, agg.tail(m_star - 1), None, note))
 
     if args.mc:
-        plan = montecarlo.SimulationPlan(
-            system=system,
-            horizon=t,
-            n_paths=controls.mc_paths,
-            seed=controls.mc_seed,
-            tail_probes=((t, x),),
-            workers=args.workers,
-        )
-        result = montecarlo.simulate(plan)
+        result = montecarlo.simulate(_plan(system, controls, t, args.workers,
+                                           tail_probes=((t, x),)))
         est = result.estimates[f"tail(t={t:g};x={x:g})"]
         rows.append(("monte-carlo", t, x, est.value, est.std_error, f"n={est.n_effective}"))
 
-    out.write(_render(["method", "t", "x", "value", "std_error", "note"], rows, args.format))
-    return 0
+    return _render(["method", "t", "x", "value", "std_error", "note"], rows, args.format)
 
 
-@dataclass(frozen=True)
-class RuinEstimate:
-    """One ruin-probability figure with its provenance."""
-
-    method: str
-    u: float
-    t: float | None
-    value: float
-    error: float | None = None
-
-
-@dataclass
-class RuinReport:
-    """Adjustment-coefficient constants plus per-method ruin estimates."""
-
-    solution: LundbergSolution | None
-    entries: list[RuinEstimate]
-
-
-def ruin_report_record(report: RuinReport) -> str:
-    """Flat key-value serialization of a ruin report."""
+def ruin_report_record(solution: LundbergSolution | None, rows: list[tuple]) -> str:
+    """Flat key-value serialization of (method, u, t, value, error) ruin rows."""
     lines = []
-    if report.solution is not None:
-        sol = report.solution
-        lines.append(f"R = {sol.R:.12g}")
-        lines.append(f"C = {sol.constant:.12g}")
-        lines.append(f"tbar = {sol.time_scale:.12g}")
-        lines.append(f"sigma_sq = {sol.sigma_sq:.12g}")
-    for entry in report.entries:
-        key = f"r(u={entry.u:.12g}"
-        if entry.t is not None:
-            key += f"; t={entry.t:.12g}"
-        key += f"; method={entry.method})"
-        value = f"{entry.value:.12g}"
-        if entry.error is not None:
-            value += f" +- {entry.error:.12g}"
+    if solution is not None:
+        lines.append(f"R = {solution.R:.12g}")
+        lines.append(f"C = {solution.constant:.12g}")
+        lines.append(f"tbar = {solution.time_scale:.12g}")
+        lines.append(f"sigma_sq = {solution.sigma_sq:.12g}")
+    for method, u, t, value, error in rows:
+        key = f"r(u={u:.12g}"
+        if t is not None:
+            key += f"; t={t:.12g}"
+        key += f"; method={method})"
+        value = f"{value:.12g}"
+        if error is not None:
+            value += f" +- {error:.12g}"
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
-def ruin_report_rows(report: RuinReport) -> list[tuple]:
-    """The (method, u, t, value, error) row view of a ruin report."""
-    return [(e.method, e.u, e.t, e.value, e.error) for e in report.entries]
-
-
-def build_ruin_report(
-    system: RiskSystem,
-    controls: Controls,
-    u_list: list[float],
-    mc: bool = False,
-    workers: int = 1,
-) -> RuinReport:
-    entries: list[RuinEstimate] = []
-    span = controls.span
-    _check_lattice_budget(controls, int(math.ceil(max(u_list) / span)) + 1)
-    curve = ruin_panjer(system, span, max(u_list))
-    for u in u_list:
-        entries.append(RuinEstimate("panjer-recursion", u, None, curve.value(u)))
-
-    sol = lundberg(system)
-    for u in u_list:
-        cl = cramer_lundberg_approx(system, u)
-        entries.append(RuinEstimate("cramer-lundberg", u, None, cl.value))
-        entries.append(RuinEstimate("lundberg-bound", u, None, cl.bound))
-
-    if system.model.severity.as_mixture() is not None:
-        for u in u_list:
-            entries.append(
-                RuinEstimate("mixture-exact", u, None, mixture_exact(system, u).value)
-            )
-
-    if mc:
-        horizon = controls.mc_horizon
-        if horizon is None:
-            horizon = 5.0 * max(u_list) * sol.time_scale
-        plan = montecarlo.SimulationPlan(
-            system=system,
-            horizon=horizon,
-            n_paths=controls.mc_paths,
-            seed=controls.mc_seed,
-            ruin_levels=tuple(u_list),
-            workers=workers,
-        )
-        result = montecarlo.simulate(plan)
-        for u in u_list:
-            est = result.estimates[f"ruin(u={u:g})"]
-            entries.append(
-                RuinEstimate("monte-carlo", u, horizon, est.value, est.std_error)
-            )
-    return RuinReport(sol, entries)
-
-
-def cmd_ruin(spec: ModelSpec, args: argparse.Namespace, out) -> int:
-    spec = _apply_overrides(spec, args)
+def cmd_ruin(spec: ModelSpec, args: argparse.Namespace) -> str:
     system, controls = spec.system, spec.controls
     u_list = args.u
     header = ["method", "u", "t", "value", "error"]
 
     if system.loading <= 0.0:
         if args.record:
-            out.write(ruin_report_record(RuinReport(None, [RuinEstimate("certain", min(u_list), None, 1.0)])))
-        else:
-            out.write(_render(header, [("certain", None, None, 1.0, None)], args.format))
-        return 0
+            return ruin_report_record(None, [("certain", min(u_list), None, 1.0, None)])
+        return _render(header, [("certain", None, None, 1.0, None)], args.format)
 
-    report = build_ruin_report(system, controls, u_list, mc=args.mc, workers=args.workers)
+    _check_lattice_budget(controls, steps_to(max(u_list), controls.span) + 1)
+    curve = ruin_panjer(system, controls.span, max(u_list))
+    rows: list[tuple] = [("panjer-recursion", u, None, curve.value(u), None) for u in u_list]
+
+    sol = lundberg(system)
+    for u in u_list:
+        cl = cramer_lundberg_approx(system, u)
+        rows.append(("cramer-lundberg", u, None, cl.value, None))
+        rows.append(("lundberg-bound", u, None, cl.bound, None))
+
+    if system.model.severity.as_mixture() is not None:
+        rows += [("mixture-exact", u, None, mixture_exact(system, u).value, None) for u in u_list]
+
+    if args.mc:
+        horizon = controls.mc_horizon
+        if horizon is None:
+            horizon = 5.0 * max(u_list) * sol.time_scale
+        result = montecarlo.simulate(_plan(system, controls, horizon, args.workers,
+                                           ruin_levels=tuple(u_list)))
+        for u in u_list:
+            est = result.estimates[f"ruin(u={u:g})"]
+            rows.append(("monte-carlo", u, horizon, est.value, est.std_error))
+
     if args.record:
-        out.write(ruin_report_record(report))
-    else:
-        out.write(_render(header, ruin_report_rows(report), args.format))
-    return 0
+        return ruin_report_record(sol, rows)
+    return _render(header, rows, args.format)
 
 
-def cmd_ruin_time(spec: ModelSpec, args: argparse.Namespace, out) -> int:
-    spec = _apply_overrides(spec, args)
+def cmd_ruin_time(spec: ModelSpec, args: argparse.Namespace) -> str:
     system, controls = spec.system, spec.controls
     u = args.u
     sol = lundberg(system)
     ratios = args.t if args.t else [0.5, 0.75, 1.0, 1.25, 1.5, 2.0]
-    header = ["quantity", "u", "t", "value", "error"]
     rows: list[tuple] = [
         ("R", u, None, sol.R, None),
         ("C", u, None, sol.constant, None),
@@ -549,15 +491,8 @@ def cmd_ruin_time(spec: ModelSpec, args: argparse.Namespace, out) -> int:
         horizon = controls.mc_horizon
         if horizon is None:
             horizon = 5.0 * u * sol.time_scale
-        plan = montecarlo.SimulationPlan(
-            system=system,
-            horizon=horizon,
-            n_paths=controls.mc_paths,
-            seed=controls.mc_seed,
-            collect_ruin_times=u,
-            workers=args.workers,
-        )
-        study = montecarlo.ruin_time_samples(plan)
+        study = montecarlo.ruin_time_samples(_plan(system, controls, horizon, args.workers,
+                                                   collect_ruin_times=u))
         if args.dump is not None:
             Path(args.dump).write_text(montecarlo.ruin_times_text(study.times))
         rows.append(("mc-ruin-frequency", u, horizon, study.ruin_frequency.value,
@@ -567,51 +502,35 @@ def cmd_ruin_time(spec: ModelSpec, args: argparse.Namespace, out) -> int:
         if study.pre_asymptotic:
             rows.append(("mc-flag", u, horizon, None, None))
 
-    out.write(_render(header, rows, args.format))
-    return 0
+    return _render(["quantity", "u", "t", "value", "error"], rows, args.format)
 
 
-def cmd_seal(spec: ModelSpec, args: argparse.Namespace, out) -> int:
-    spec = _apply_overrides(spec, args)
+def cmd_seal(spec: ModelSpec, args: argparse.Namespace) -> str:
     controls = spec.controls
     system = RiskSystem(spec.system.model, spec.system.premium_rate, args.u)
-    t = args.t
-    sev = system.model.severity
+    u, t = args.u, args.t
     # a true lattice severity fixes the span; point masses discretize exactly
-    span = None if sev.as_distribution() is not None else controls.span
-    effective = sev.lattice_span if span is None else span
-    _check_lattice_budget(
-        controls, int(math.ceil((args.u + system.premium_rate * t) / effective))
-    )
-    result = seal(system, t, d=span)
-    header = ["method", "u", "t", "value", "error"]
+    law = _severity_lattice(system.model.severity, controls.span)
+    ct = system.premium_rate * t
+    # seal recurses to the last level below u + c*t; at u = 0 the check covers c*t
+    needed = steps_to(ct, law.span) if u == 0.0 else steps_within(u + ct, law.span)
+    _check_lattice_budget(controls, needed)
+    result = seal(system, t, d=law.span)
     rows: list[tuple] = [
-        ("seal", args.u, t, result.value, None),
-        ("seal-beyond-horizon", args.u, t, result.beyond, None),
-        ("seal-crossings", args.u, t, result.crossings, None),
+        ("seal", u, t, result.value, None),
+        ("seal-beyond-horizon", u, t, result.beyond, None),
+        ("seal-crossings", u, t, result.crossings, None),
     ]
-    if args.u == 0.0:
-        d = result.span
-        # cover c*t even when it falls between lattice points
-        n_top = int(math.ceil(system.premium_rate * t / d - 1e-9))
-        agg = panjer(system.model.rate * t, discretize(sev, d), max(n_top, 1))
-        check = 1.0 - non_ruin_zero(system, t, agg)
-        rows.append(("one-minus-non-ruin-zero", 0.0, t, check, None))
+    if u == 0.0:
+        agg = panjer(system.model.rate * t, law, needed)  # seal has checked needed >= 10
+        rows.append(("one-minus-non-ruin-zero", 0.0, t, 1.0 - non_ruin_zero(system, t, agg), None))
 
     if args.mc:
-        plan = montecarlo.SimulationPlan(
-            system=system,
-            horizon=t,
-            n_paths=controls.mc_paths,
-            seed=controls.mc_seed,
-            ruin_levels=(args.u,),
-            workers=args.workers,
-        )
-        est = montecarlo.simulate(plan).estimates[f"ruin(u={args.u:g})"]
-        rows.append(("monte-carlo", args.u, t, est.value, est.std_error))
+        plan = _plan(system, controls, t, args.workers, ruin_levels=(u,))
+        est = montecarlo.simulate(plan).estimates[f"ruin(u={u:g})"]
+        rows.append(("monte-carlo", u, t, est.value, est.std_error))
 
-    out.write(_render(header, rows, args.format))
-    return 0
+    return _render(["method", "u", "t", "value", "error"], rows, args.format)
 
 
 def _parse_policies(path: Path) -> Portfolio:
@@ -634,7 +553,7 @@ def _parse_policies(path: Path) -> Portfolio:
     return Portfolio(tuple(policies))
 
 
-def cmd_portfolio(args: argparse.Namespace, out) -> int:
+def cmd_portfolio(args: argparse.Namespace) -> str:
     portfolio = _parse_policies(Path(args.policies))
     model = portfolio_to_compound(portfolio, span=args.span)
     severity: Lattice = model.severity
@@ -651,17 +570,14 @@ def cmd_portfolio(args: argparse.Namespace, out) -> int:
 
     xs = args.x if args.x else []
     if xs:
-        lattice = severity.as_distribution()
         n_out = max(int(math.ceil(max(xs) / severity.span)) + 1, 1)
-        agg = panjer(model.rate, lattice, n_out)
+        agg = panjer(model.rate, _severity_lattice(severity, severity.span), n_out)
         for x in xs:
             exact = portfolio_exact_tail(portfolio, x)
-            m = int(math.floor(x / severity.span + 1e-9))
-            rows.append(("tail", x, exact, agg.tail(m)))
+            rows.append(("tail", x, exact, agg.tail(steps_within(x, severity.span))))
 
-    out.write(_render(["section", "key", "value", "extra"],
-                      [row + ("",) * (4 - len(row)) for row in rows], args.format))
-    return 0
+    return _render(["section", "key", "value", "extra"],
+                   [row + ("",) * (4 - len(row)) for row in rows], args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -734,25 +650,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"tail": cmd_tail, "ruin": cmd_ruin, "ruin-time": cmd_ruin_time, "seal": cmd_seal}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    out = sys.stdout
     try:
         if args.command == "portfolio":
-            return cmd_portfolio(args, out)
-        spec = parse_model_file(args.model)
-        if args.command == "tail":
-            return cmd_tail(spec, args, out)
-        if args.command == "ruin":
-            return cmd_ruin(spec, args, out)
-        if args.command == "ruin-time":
-            return cmd_ruin_time(spec, args, out)
-        if args.command == "seal":
-            return cmd_seal(spec, args, out)
-        raise ParseError(f"unknown command {args.command}")
+            text = cmd_portfolio(args)
+        else:
+            spec = _apply_overrides(parse_model_file(args.model), args)
+            text = _COMMANDS[args.command](spec, args)
     except CollRiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
+    sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

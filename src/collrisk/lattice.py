@@ -32,6 +32,16 @@ def _tails_from_masses(masses: np.ndarray) -> np.ndarray:
     return np.subtract.accumulate(np.concatenate(([1.0], masses)))[1:]
 
 
+def steps_to(x: float, span: float) -> int:
+    """Fewest steps n with n*span >= x; an x/span up to 1e-9 above an integer counts as it."""
+    return int(math.ceil(x / span - 1e-9))
+
+
+def steps_within(x: float, span: float) -> int:
+    """Most steps n with n*span <= x; an x/span up to 1e-9 below an integer counts as it."""
+    return int(math.floor(x / span + 1e-9))
+
+
 @dataclass(frozen=True)
 class LatticeDistribution:
     """Probability masses on ``{0, d, 2d, ...}`` with cached upper tails.

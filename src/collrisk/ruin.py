@@ -25,7 +25,7 @@ from .errors import (
     NoRootError,
     RootBracketError,
 )
-from .lattice import LatticeDistribution, compound_geometric, panjer
+from .lattice import LatticeDistribution, compound_geometric, panjer, steps_to, steps_within
 from .rootfind import expand_lower, expand_upper, safeguarded_newton
 from .severity import SeverityModel, discretize, discretize_ladder
 
@@ -133,7 +133,7 @@ class RuinCurve:
     def value(self, u: float) -> float:
         if u < 0.0:
             raise DomainError(f"capital must be nonnegative, got {u}")
-        idx = int(math.floor(u / self.span + 1e-9)) + 1
+        idx = steps_within(u, self.span) + 1
         if idx >= self.upper.size:
             raise DomainError(f"capital {u} beyond the computed grid")
         return float(self.upper[idx])
@@ -163,7 +163,7 @@ def ruin_panjer(
         raise DomainError(f"u_max must be positive, got {u_max}")
     law = ladder(system)
     k = law.discretized(d, tail_tol=tail_tol)
-    n_out = int(math.ceil(u_max / d - 1e-9)) + 1
+    n_out = steps_to(u_max, d) + 1
     cg = compound_geometric(law.upcross_probability, k, n_out)
     return RuinCurve(d, cg.upper)
 
@@ -348,7 +348,7 @@ def _approach(f, pole: float, width: float, sign: int) -> float:
 
 
 def _non_ruin_value(masses: np.ndarray, d: float, ct: float) -> float:
-    n_top = min(int(math.floor(ct / d + 1e-9)), masses.size - 1)
+    n_top = min(steps_within(ct, d), masses.size - 1)
     n = np.arange(n_top + 1)
     weights = np.maximum(1.0 - n * d / ct, 0.0)
     return float(np.dot(weights, masses[: n_top + 1]))
@@ -435,7 +435,7 @@ def seal(
         raise GridError(f"initial capital {u} is not a multiple of the span {span}")
     j = int(round(j))
 
-    top = int(math.floor((u + ct) / span + 1e-9))
+    top = steps_within(u + ct, span)
     agg_t = panjer(lam * t, sev_dist, max(top, 1))
     beyond = agg_t.tail(top)
 
@@ -448,7 +448,7 @@ def seal(
             # less than one lattice step of premium left: only the empty path matters
             survive = math.exp(-lam * remaining) if remaining > 0 else 1.0
         else:
-            n_rem = int(math.floor(c * remaining / span + 1e-9))
+            n_rem = steps_within(c * remaining, span)
             agg_rem = panjer(lam * remaining, sev_dist, max(n_rem, 1))
             survive = _non_ruin_value(agg_rem.masses, span, c * remaining)
         crossings += mass_at_crossing * survive
@@ -489,6 +489,8 @@ def hitting_below(
     """
     if not u > 0.0:
         raise DomainError(f"barrier depth must be positive, got {u}")
+    if t is not None and not t > 0.0:
+        raise DomainError(f"horizon must be positive, got {t}")
     loading = system.loading
     if abs(loading) <= 1e-14 * max(1.0, system.premium_rate):
         raise LoadingError("premium rate equals the mean loss rate", ruin_probability=1.0)
@@ -513,7 +515,7 @@ def _hitting_by(
     c = system.premium_rate
     lam = system.model.rate
     sev_dist, span = _lattice_severity(system, d, tail_tol)
-    top = int(math.floor((c * t - u) / span + 1e-9))
+    top = steps_within(c * t - u, span)
     total = math.exp(-lam * u / c)  # no-claim path reaches -u at time u/c
     for m in range(1, top + 1):
         s_m = (m * span + u) / c

@@ -490,6 +490,8 @@ def discretize(
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     edges = np.arange(n_max + 1) * d
+    if model.lattice_span is not None:
+        edges += 1e-9 * d  # keep an atom on its lattice point when n*d rounds below it
     surv = np.array([model.sf(e) for e in edges])
     cells = surv[:-1] - surv[1:]
     residual = surv[-1]

@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 import pytest
 from scipy import stats
 
-from collrisk import Exponential, Lattice, MixtureOfExponentials, ParseError
+from collrisk import Exponential, Lattice, MixtureOfExponentials, ParseError, errors
 from collrisk.cli import main, parse_model_file, parse_model_text
 
 EXP_MODEL_TEXT = """\
@@ -214,6 +214,14 @@ def test_ruin_negative_loading_is_informative(tmp_path):
     assert float(rows[0][3]) == 1.0
 
 
+def test_ruin_record_negative_loading(tmp_path):
+    path = tmp_path / "under.model"
+    path.write_text(EXP_MODEL_TEXT.replace("premium_rate = 1.25", "premium_rate = 0.9"))
+    assert run(["ruin", str(path), "--u", "2,1", "--record"]) == (
+        0, "r(u=1; method=certain) = 1\n"
+    )
+
+
 def test_ruin_record_format(exp_model):
     code, out = run(["ruin", exp_model, "--u", "5", "--record"])
     assert code == 0
@@ -376,6 +384,33 @@ def test_exit_codes(exp_model, tmp_path):
     assert out == ""
 
 
+_ERROR_CLASSES = sorted(
+    (k for k in vars(errors).values()
+     if isinstance(k, type) and issubclass(k, errors.CollRiskError)),
+    key=lambda k: k.__name__,
+)
+_NONDEFAULT_EXIT = {
+    "ParseError": 2,
+    "ConvergenceError": 4,
+    "NoRootError": 4,
+    "RootBracketError": 4,
+    "BudgetError": 5,
+    "InsufficientRuinsError": 5,
+}
+
+
+@pytest.mark.parametrize("klass", _ERROR_CLASSES, ids=lambda k: k.__name__)
+def test_every_error_class_exit_code(monkeypatch, klass, capsys):
+    def fail(path):
+        raise klass("injected")
+
+    monkeypatch.setattr("collrisk.cli.parse_model_file", fail)
+    code, out = run(["ruin", "any.model", "--u", "1"])
+    assert code == _NONDEFAULT_EXIT.get(klass.__name__, 3)
+    assert out == ""
+    assert capsys.readouterr().err == "error: injected\n"
+
+
 def test_n_out_caps_lattice_work(tmp_path):
     capped = tmp_path / "capped.model"
     capped.write_text(EXP_MODEL_TEXT + "n_out = 100\n")
@@ -384,6 +419,15 @@ def test_n_out_caps_lattice_work(tmp_path):
     assert out == ""
     code, _ = run(["ruin", str(capped), "--u", "0.5"])  # needs 51 steps
     assert code == 0
+
+
+def test_n_out_counts_the_steps_the_recursion_computes(tmp_path):
+    capped = tmp_path / "capped.model"
+    capped.write_text(EXP_MODEL_TEXT + "n_out = 30\n")
+    # t*x = 0.30000000000000004 spans 30 cells of 0.01 up to rounding
+    code, out = run(["tail", str(capped), "--t", "3", "--x", "0.1", "--format", "csv"])
+    assert code == 0
+    assert [row[0] for row in csv_rows(out)][-1] == "panjer"
 
 
 def test_ruin_time_dump_writes_samples(exp_model, tmp_path):

@@ -387,6 +387,13 @@ def test_hitting_below_at_drift_reach_time():
     assert at == after
 
 
+@pytest.mark.parametrize("t", [-3.0, math.nan])
+def test_hitting_below_rejects_bad_horizon(t):
+    sys = RiskSystem(CompoundModel(1.0, Exponential(1.0)), 0.8, 0.0)
+    with pytest.raises(DomainError, match="horizon must be positive"):
+        hitting_below(sys, 2.0, t=t, d=0.01)
+
+
 def test_lattice_severity_fixes_the_span():
     sys = RiskSystem(CompoundModel(1.0, Lattice(0.5, (0.2, 0.5, 0.3))), 1.25, 1.0)
     with pytest.raises(GridError):

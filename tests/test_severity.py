@@ -254,6 +254,19 @@ def test_discretize_mass_is_one(model, d):
     assert dist.masses[0] == 0.0
 
 
+@pytest.mark.parametrize(
+    "model, d",
+    [
+        (PointMass(1.0), 0.49999999999999994),
+        (PointMass(0.9), 0.3),
+        (Lattice(0.5, (0.4, 0.6)), 0.49999999999999994),
+    ],
+)
+def test_discretize_keeps_atoms_on_their_lattice_point(model, d):
+    # each atom is a multiple of d only up to rounding of n*d
+    assert discretize(model, d).mean() == pytest.approx(model.moment(1), rel=1e-12)
+
+
 @pytest.mark.parametrize("d", [0.2, 0.1, 0.05, 0.01])
 def test_discretize_mean_converges(d):
     dist = discretize(Exponential(1.0), d)
