@@ -110,6 +110,11 @@ class Controls:
     mc_paths: int = 100_000
     mc_horizon: float | None = None
 
+    def __post_init__(self):
+        # checked here so that the model file's key and the --span flag share it
+        if not self.span > 0:
+            raise ParseError(f"span must be positive, got {self.span}")
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -289,8 +294,6 @@ def parse_model_text(text: str, base_dir: Path) -> ModelSpec:
             _parse_float("mc_horizon", top["mc_horizon"]) if "mc_horizon" in top else None
         ),
     )
-    if controls.span <= 0:
-        raise ParseError(f"span must be positive, got {controls.span}")
     return ModelSpec(system, controls)
 
 

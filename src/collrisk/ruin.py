@@ -25,7 +25,8 @@ from .errors import (
     NoRootError,
     RootBracketError,
 )
-from .lattice import LatticeDistribution, compound_geometric, panjer, steps_to, steps_within
+from .lattice import LatticeDistribution, _checked_severity, compound_geometric, panjer
+from .lattice import steps_to, steps_within
 from .rootfind import expand_lower, expand_upper, safeguarded_newton
 from .severity import SeverityModel, discretize, discretize_ladder
 
@@ -347,13 +348,6 @@ def _approach(f, pole: float, width: float, sign: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _non_ruin_value(masses: np.ndarray, d: float, ct: float) -> float:
-    n_top = min(steps_within(ct, d), masses.size - 1)
-    n = np.arange(n_top + 1)
-    weights = np.maximum(1.0 - n * d / ct, 0.0)
-    return float(np.dot(weights, masses[: n_top + 1]))
-
-
 def non_ruin_zero(system: RiskSystem, t: float, aggregate: LatticeDistribution) -> float:
     """Probability of no ruin by time t with zero initial capital.
 
@@ -371,7 +365,8 @@ def non_ruin_zero(system: RiskSystem, t: float, aggregate: LatticeDistribution) 
         raise GridError(
             f"aggregate support {(aggregate.size - 1) * d} does not cover c*t = {ct}"
         )
-    return _non_ruin_value(aggregate.masses, d, ct)
+    n = np.arange(min(steps_within(ct, d), aggregate.size - 1) + 1)
+    return float(np.dot(np.maximum(1.0 - n * d / ct, 0.0), aggregate.masses[n]))
 
 
 def _lattice_severity(system: RiskSystem, d: float | None, tail_tol: float) -> tuple[LatticeDistribution, float]:
@@ -390,6 +385,52 @@ def _lattice_severity(system: RiskSystem, d: float | None, tail_tol: float) -> t
             raise GridError(f"severity lattice has span {exact.span}, requested {d}")
         return exact, exact.span
     return discretize(sev, span, tail_tol=tail_tol), span
+
+
+def _crossing_sum(severity: LatticeDistribution, levels: np.ndarray, means: np.ndarray,
+                  weights: np.ndarray, survival: tuple | None = None,
+                  last: int | None = None) -> tuple[float, float, int]:
+    """sum_m w_m g_{l_m}(mu_m) S_m in one pass over the convolution powers f^{*k}.
+
+    As f_0 = 0, the aggregate mass at cell n for mean claim count mu is the
+    Poisson mixture g_n(mu) = sum_{k<=n} Pois(k; mu) f^{*k}_n. For k = 0, 1, ...
+    the pass holds f^{*k} cut to cells 0..top and adds, for all levels at once,
+    Pois(k; mu_m) f^{*k}_{l_m} to the crossing mass M_m and, given
+    ``survival = (nu, n, a)``, Pois(k; nu_m) sum_{i<=n_m} (1 - a_m i) f^{*k}_i to
+    S_m (else S = 1). Levels are distinct; w and each 1 - a_m i lie in [0, 1].
+
+    All terms are nonnegative. With mu* the largest mean and K + 1 >= mu*,
+    the part left out after power K is at most
+    B_K = P(N(mu*) > K) (1 + sum_m w_m M_m^K): Pois(k; mu) rises in mu below k,
+    so with sum_m f^{*k}_{l_m} <= 1 and w, S <= 1 the crossing terms k > K sum
+    to at most P(N(mu*) > K); S_m misses at most P(N(nu_m) > K) <= P(N(mu*) > K),
+    times w_m M_m^K. With i_0 the first cell of f, f^{*k} = 0 on cells 0..top
+    for k > top/i_0, so B = 0 from K = top // i_0 on; below mu* - 1, B = inf.
+    The pass stops at the first K with B_K <= 2^-53 times the running sum or,
+    if ``last`` is given, at K = min(last, top // i_0). Returns (sum, B_K, K).
+    """
+    nu, n, a = survival if survival is not None else (means, levels, 0.0)
+    top = int(max(levels.max(initial=0), n.max(initial=0)))
+    mu_star = float(max(means.max(initial=0.0), nu.max(initial=0.0)))
+    f = _checked_severity(severity, "severity")[: top + 1]
+    exact_at = top // np.flatnonzero(f)[0] if f.any() else 0
+    cells = np.arange(top + 1)
+    fk = (cells == 0).astype(float)
+    mass = np.zeros(levels.size)
+    surv = 1.0 if survival is None else np.zeros(levels.size)
+    for k in range(exact_at + 1):
+        log_k = special.gammaln(k + 1)  # Pois(k; mu) in log form: no NaN at mu = 0
+        mass += np.exp(special.xlogy(k, means) - means - log_k) * fk[levels]
+        if survival is not None:
+            below = np.cumsum(fk)[n] - a * np.cumsum(cells * fk)[n]
+            surv += np.exp(special.xlogy(k, nu) - nu - log_k) * below
+        value = float(np.sum(weights * mass * surv))
+        tail = 0.0 if k == exact_at else special.pdtrc(k, mu_star) if k + 1 >= mu_star else math.inf
+        bound = float(tail) * (1.0 + float(np.dot(weights, mass)))
+        if (bound <= 2.0**-53 * value) if last is None else k == last:
+            break
+        fk = np.convolve(fk, f)[: top + 1]
+    return value, bound, k
 
 
 @dataclass(frozen=True)
@@ -417,7 +458,11 @@ def seal(
     by the premium line, the aggregate mass at the crossing time weighted
     by the non-ruin probability over the remaining time. For lattice
     severities the evaluation is exact; continuous severities are
-    discretized first on span ``d``.
+    discretized first on span ``d``. Masses and weights are Poisson mixtures
+    of convolution powers f^{*k}, summed for all levels in one pass over k
+    that stops once a Poisson tail P(N(mu*) > k), mu* <= lambda*t, puts the
+    rest below 2^-53 of the sum (``_crossing_sum``; De Vylder & Goovaerts,
+    IME 7, 1988).
     """
     if not t > 0.0:
         raise DomainError(f"horizon must be positive, got {t}")
@@ -436,22 +481,15 @@ def seal(
     j = int(round(j))
 
     top = steps_within(u + ct, span)
-    agg_t = panjer(lam * t, sev_dist, max(top, 1))
-    beyond = agg_t.tail(top)
+    beyond = panjer(lam * t, sev_dist, max(top, 1)).tail(top)
 
-    crossings = 0.0
-    for m in range(j + 1, top + 1):
-        s_m = (m * span - u) / c
-        mass_at_crossing = float(panjer(lam * s_m, sev_dist, m).masses[m])
-        remaining = t - s_m
-        if remaining * c / span < 0.5:
-            # less than one lattice step of premium left: only the empty path matters
-            survive = math.exp(-lam * remaining) if remaining > 0 else 1.0
-        else:
-            n_rem = steps_within(c * remaining, span)
-            agg_rem = panjer(lam * remaining, sev_dist, max(n_rem, 1))
-            survive = _non_ruin_value(agg_rem.masses, span, c * remaining)
-        crossings += mass_at_crossing * survive
+    m = np.arange(j + 1, top + 1)
+    s = (m * span - u) / c  # crossing times; the ballot weights use c*(t - s)
+    remaining = np.maximum(t - s, 0.0)
+    n = np.floor(c * remaining / span + 1e-9).astype(int)  # steps_within per level
+    a = np.divide(span, c * remaining, out=np.zeros(m.size), where=remaining > 0.0)
+    n -= n * a >= 1.0  # a last point on the premium line has weight 0
+    crossings = _crossing_sum(sev_dist, m, lam * s, np.ones(m.size), (lam * remaining, n, a))[0]
     value = beyond + crossings
     if value > 1.0 + 1e-9:
         raise DomainError(f"finite-time ruin probability {value} exceeds one")
@@ -484,15 +522,19 @@ def hitting_below(
     The passage happens while drifting between jumps, so U equals -u
     exactly at that time. With positive loading the passage is certain;
     with negative loading the exact probability is exp(R*u) with the
-    negative adjustment coefficient. A finite horizon is evaluated by the
-    explicit crossing-time sum over lattice levels.
+    negative adjustment coefficient. A finite horizon adds to the no-claim
+    path the crossing-time sum over lattice levels m*d: the passage at
+    s_m = (m*d + u)/c has probability u/(c*s_m) times the aggregate mass at
+    m*d at time s_m, a Poisson mixture of convolution powers summed for all
+    levels in one pass stopped by the bound of ``_crossing_sum``.
     """
+    c = system.premium_rate
     if not u > 0.0:
         raise DomainError(f"barrier depth must be positive, got {u}")
     if t is not None and not t > 0.0:
         raise DomainError(f"horizon must be positive, got {t}")
     loading = system.loading
-    if abs(loading) <= 1e-14 * max(1.0, system.premium_rate):
+    if abs(loading) <= 1e-14 * max(1.0, c):
         raise LoadingError("premium rate equals the mean loss rate", ruin_probability=1.0)
     if loading > 0.0:
         value, root = 1.0, None
@@ -501,27 +543,17 @@ def hitting_below(
         value, root = math.exp(sol.R * u), sol.R
 
     value_by_t = None
-    if t is not None:
-        if not t >= u / system.premium_rate:
-            value_by_t = 0.0  # the drift cannot reach -u before u/c
-        else:
-            value_by_t = _hitting_by(system, u, t, d, tail_tol)
+    if t is not None and not t >= u / c:
+        value_by_t = 0.0  # the drift cannot reach -u before u/c
+    elif t is not None:
+        lam = system.model.rate
+        sev_dist, span = _lattice_severity(system, d, tail_tol)
+        m = np.arange(1, steps_within(c * t - u, span) + 1)
+        s = (m * span + u) / c
+        crossings = _crossing_sum(sev_dist, m, lam * s, u / (c * s))[0]
+        # the no-claim path reaches -u at time u/c
+        value_by_t = min(math.exp(-lam * u / c) + crossings, 1.0)
     return HittingBelow(value, value_by_t, root)
-
-
-def _hitting_by(
-    system: RiskSystem, u: float, t: float, d: float | None, tail_tol: float
-) -> float:
-    c = system.premium_rate
-    lam = system.model.rate
-    sev_dist, span = _lattice_severity(system, d, tail_tol)
-    top = steps_within(c * t - u, span)
-    total = math.exp(-lam * u / c)  # no-claim path reaches -u at time u/c
-    for m in range(1, top + 1):
-        s_m = (m * span + u) / c
-        mass = float(panjer(lam * s_m, sev_dist, m).masses[m])
-        total += (u / (c * s_m)) * mass
-    return min(total, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,18 @@ def test_flag_overrides_file(exp_model):
     assert value == pytest.approx(0.8 * math.exp(-1.0), rel=0.005)
 
 
+@pytest.mark.parametrize("span", ["0", "-0.01"])
+@pytest.mark.parametrize(
+    "argv",
+    [["tail", "--t", "2", "--x", "1.5"], ["ruin", "--u", "1"], ["seal", "--u", "1", "--t", "4"]],
+    ids=lambda argv: argv[0],
+)
+def test_nonpositive_span_flag_is_a_parse_error(exp_model, capsys, argv, span):
+    code, out = run([argv[0], exp_model, *argv[1:], "--span", span])
+    assert (code, out) == (2, "")
+    assert f"span must be positive, got {float(span)}" in capsys.readouterr().err
+
+
 def test_exit_codes(exp_model, tmp_path):
     assert run(["ruin", "/missing.model", "--u", "1"])[0] == 2
     assert run(["tail", exp_model, "--t", "10", "--x", "-1"])[0] == 3

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from collrisk import (
     CompoundModel,
@@ -33,6 +36,8 @@ from collrisk import (
     ruin_time_clt,
     seal,
 )
+from collrisk.lattice import steps_within
+from collrisk.ruin import _crossing_sum
 
 EXP_SYS = RiskSystem(CompoundModel(1.0, Exponential(1.0)), 1.25, 0.0)
 UNIT_MODEL = CompoundModel(1.0, PointMass(1.0))
@@ -352,6 +357,156 @@ def test_seal_exponential_severity_discretized():
     assert result.value == pytest.approx(result.beyond + result.crossings, rel=1e-14)
     # bounded by the infinite-horizon probability of the discretized model
     assert result.value <= ruin_panjer(sys, 0.1, 2.0).value(1.0) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the streamed finite-time pass against the per-level recursions
+# ---------------------------------------------------------------------------
+
+
+def _severity_masses(system, d):
+    exact = system.model.severity.as_distribution()
+    return exact if exact is not None else discretize(system.model.severity, d)
+
+
+def _ballot(masses, d, ct):
+    n = np.arange(min(steps_within(ct, d), masses.size - 1) + 1)
+    return float(np.dot(np.maximum(1.0 - n * d / ct, 0.0), masses[n]))
+
+
+def reference_seal(system, t, d):
+    """(crossings, value) by one aggregate recursion per level and per remaining time."""
+    u, c, lam = system.initial_capital, system.premium_rate, system.model.rate
+    sev = _severity_masses(system, d)
+    top = steps_within(u + c * t, d)
+    crossings = 0.0
+    for m in range(int(round(u / d)) + 1, top + 1):
+        s_m = (m * d - u) / c
+        mass = float(panjer(lam * s_m, sev, m).masses[m])
+        remaining = t - s_m
+        if remaining * c / d < 0.5:
+            survive = math.exp(-lam * remaining) if remaining > 0 else 1.0
+        else:
+            n_rem = steps_within(c * remaining, d)
+            survive = _ballot(panjer(lam * remaining, sev, max(n_rem, 1)).masses, d, c * remaining)
+        crossings += mass * survive
+    return crossings, panjer(lam * t, sev, max(top, 1)).tail(top) + crossings
+
+
+def reference_hitting(system, u, t, d):
+    c, lam = system.premium_rate, system.model.rate
+    sev = _severity_masses(system, d)
+    total = math.exp(-lam * u / c)
+    for m in range(1, steps_within(c * t - u, d) + 1):
+        s_m = (m * d + u) / c
+        total += (u / (c * s_m)) * float(panjer(lam * s_m, sev, m).masses[m])
+    return min(total, 1.0)
+
+
+EXP_MODEL = CompoundModel(1.0, Exponential(1.0))
+
+
+@pytest.mark.parametrize(
+    "model, c, u, t, d",
+    [
+        (EXP_MODEL, 1.25, 2.0, 4.0, 0.01),  # the benchmark's two seal points
+        (EXP_MODEL, 1.25, 0.0, 8.0, 0.02),
+        (EXP_MODEL, 1.25, 20.0, 8.0, 0.02),  # deep capital, value 1.2e-4
+        *[(EXP_MODEL, c, u, t, 0.1) for c in (1.25, 0.8) for u in (0.0, 1.0, 3.0)
+          for t in (2.0, 4.0, 9.95)],
+        (CompoundModel(2.0, Gamma(2.5)), 6.0, 1.5, 3.0, 0.05),
+        (CompoundModel(0.5, Lattice(0.5, (0.2, 0.5, 0.3))), 1.25, 1.0, 4.0, 0.5),
+        (UNIT_MODEL, 2.0, 1.0, 2.0, 0.25),
+        (CompoundModel(40.0, PointMass(1.0)), 50.0, 2.0, 1.0, 1.0),  # lambda*t near top
+        (EXP_MODEL, 1.25, 0.5, 4.0 - 4e-11, 0.1),  # c*t just short of a lattice point
+    ],
+)
+def test_seal_matches_the_per_level_recursions(model, c, u, t, d):
+    system = RiskSystem(model, c, u)
+    result = seal(system, t, d=d)
+    crossings, value = reference_seal(system, t, d)
+    assert result.crossings == pytest.approx(crossings, rel=1e-13, abs=0.0)
+    assert result.value == pytest.approx(value, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "model, c, u, t, d",
+    [
+        (EXP_MODEL, 0.8, 2.0, 6.0, 0.01),  # the benchmark's two hitting points
+        (EXP_MODEL, 0.8, 1.0, 10.0, 0.02),
+        *[(EXP_MODEL, c, u, t, 0.1) for c in (1.25, 0.8) for u in (0.5, 3.0)
+          for t in (4.0, 12.05)],
+        (CompoundModel(0.5, Lattice(0.5, (0.2, 0.5, 0.3))), 0.5, 1.0, 6.0, 0.5),
+    ],
+)
+def test_hitting_by_matches_the_per_level_recursions(model, c, u, t, d):
+    result = hitting_below(RiskSystem(model, c, 0.0), u, t=t, d=d)
+    assert result.value_by_t == pytest.approx(
+        reference_hitting(RiskSystem(model, c, 0.0), u, t, d), rel=1e-13, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("u, t", [(0.0, 6.0), (3.0, 6.0), (2.0, 12.5)])
+def test_seal_crossings_on_unit_claims_are_poisson_masses(u, t):
+    # with claims of 1 on span 1 the aggregate at m is N = m claims: a Poisson mass
+    lam, c = 1.0, 2.0
+    system = RiskSystem(CompoundModel(lam, PointMass(1.0)), c, u)
+    expected = 0.0
+    for m in range(int(u) + 1, steps_within(u + c * t, 1.0) + 1):
+        s_m = (m - u) / c
+        r = t - s_m
+        n = np.arange(steps_within(c * r, 1.0) + 1)
+        weights = np.maximum(1.0 - n / (c * r), 0.0) if r > 0 else (n == 0) * 1.0
+        survive = float(np.dot(weights, stats.poisson.pmf(n, lam * r)))
+        expected += stats.poisson.pmf(m, lam * s_m) * survive
+    assert seal(system, t, d=1.0).crossings == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5),
+    st.integers(0, 3),
+    st.integers(1, 40),
+    st.floats(0.0, 30.0),
+    st.booleans(),
+    st.integers(0, 40),
+    st.randoms(use_true_random=False),
+)
+def test_crossing_sum_stopped_early_is_bounded(sev, gap, top, mu_max, with_survival, last, rnd):
+    # claims start at cell gap + 1, so powers beyond top // (gap + 1) miss cells 0..top
+    f = Lattice(1.0, (0.0,) * gap + tuple(np.asarray(sev) / sum(sev))).as_distribution()
+    exact_at = top // (gap + 1)
+    levels = np.arange(1, top + 1)
+    draw = np.array([rnd.random() for _ in range(4 * top)]).reshape(4, top)
+    means, weights = mu_max * draw[0], draw[1]
+    survival = None
+    if with_survival:
+        n = (draw[2] * (top + 1)).astype(int).clip(0, top)
+        survival = (mu_max * draw[3], n, draw[2] / np.maximum(n, 1))
+    full = _crossing_sum(f, levels, means, weights, survival, last=top)
+    assert full[1:] == (0.0, exact_at)
+    value, bound, k = _crossing_sum(f, levels, means, weights, survival, last=last)
+    assert k == min(last, exact_at)
+    assert value <= full[0] * (1.0 + 1e-12)
+    assert full[0] - value <= bound + 1e-12 * full[0]
+    if k + 1 >= mu_max or k == exact_at:
+        assert math.isfinite(bound)
+    stopped, stop_bound, _ = _crossing_sum(f, levels, means, weights, survival)
+    assert stop_bound <= 2.0**-53 * stopped
+    assert abs(full[0] - stopped) <= stop_bound + 1e-12 * full[0]
+
+
+def test_crossing_sum_bound_is_tight_on_unit_claims():
+    # claims of one cell and one mean: the sum is P(1 <= N <= top) and the part
+    # left after power K is P(K < N <= top), within a factor 2 of B_K
+    unit, top, mu = Lattice(1.0, (1.0,)).as_distribution(), 60, 10.0
+    levels = np.arange(1, top + 1)
+    for last in range(9, 41):
+        value, bound, k = _crossing_sum(unit, levels, np.full(top, mu), np.ones(top), last=last)
+        gap = stats.poisson.sf(last, mu) - stats.poisson.sf(top, mu)
+        expected = stats.poisson.cdf(last, mu) - math.exp(-mu)
+        assert (k, value) == (last, pytest.approx(expected, rel=1e-12, abs=0.0))
+        assert gap <= bound <= 2.0 * gap * (1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
