@@ -87,6 +87,7 @@ from .severity import (
     SeverityModel,
     discretize,
     discretize_ladder,
+    lattice_masses,
 )
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     RootBracketError,
 )
-from .lattice import LatticeDistribution, panjer, steps_to, steps_within
+from .lattice import panjer, steps_to, steps_within
 from .ruin import (
     LundbergSolution,
     RiskSystem,
@@ -59,8 +59,9 @@ from .severity import (
     MixtureOfExponentials,
     PointMass,
     SeverityModel,
-    discretize,
+    lattice_masses,
 )
+from .severity import discretize  # noqa: F401  (bench/tracer.py patches this name here)
 
 logger = logging.getLogger(__name__)
 
@@ -111,9 +112,15 @@ class Controls:
     mc_horizon: float | None = None
 
     def __post_init__(self):
-        # checked here so that the model file's key and the --span flag share it
+        # checked here so that the model file's keys and the flags share the checks
         if not self.span > 0:
             raise ParseError(f"span must be positive, got {self.span}")
+        if not math.isfinite(self.span):
+            raise ParseError(f"span must be finite, got {self.span}")
+        if self.n_out is not None and self.n_out < 1:
+            raise ParseError(f"n_out must be positive, got {self.n_out}")
+        if self.mc_paths < 1:
+            raise ParseError(f"mc_paths must be positive, got {self.mc_paths}")
 
 
 @dataclass(frozen=True)
@@ -342,12 +349,6 @@ def _check_lattice_budget(controls: Controls, needed: int) -> None:
         )
 
 
-def _severity_lattice(sev: SeverityModel, span: float) -> LatticeDistribution:
-    """The law's exact lattice masses if it has them, else its discretization on ``span``."""
-    exact = sev.as_distribution()
-    return exact if exact is not None else discretize(sev, span)
-
-
 def _plan(
     system: RiskSystem, controls: Controls, horizon: float, workers: int, **probes
 ) -> montecarlo.SimulationPlan:
@@ -400,7 +401,7 @@ def cmd_tail(spec: ModelSpec, args: argparse.Namespace) -> str:
     m_star = steps_to(t * x, span)
     n_cells = max(m_star, 1)
     _check_lattice_budget(controls, n_cells)
-    agg = panjer(model.rate * t, _severity_lattice(model.severity, span), n_cells)
+    agg = panjer(model.rate * t, lattice_masses(model.severity, span), n_cells)
     rows.append(("panjer", t, x, agg.tail(m_star - 1), None, note))
 
     if args.mc:
@@ -512,20 +513,22 @@ def cmd_seal(spec: ModelSpec, args: argparse.Namespace) -> str:
     controls = spec.controls
     system = RiskSystem(spec.system.model, spec.system.premium_rate, args.u)
     u, t = args.u, args.t
-    # a true lattice severity fixes the span; point masses discretize exactly
-    law = _severity_lattice(system.model.severity, controls.span)
+    sev = system.model.severity
+    # exact lattice masses fix the span; every other law, a point mass too, is discretized
+    span = controls.span if sev.as_distribution() is None else sev.lattice_span
     ct = system.premium_rate * t
     # seal recurses to the last level below u + c*t; at u = 0 the check covers c*t
-    needed = steps_to(ct, law.span) if u == 0.0 else steps_within(u + ct, law.span)
+    needed = steps_to(ct, span) if u == 0.0 else steps_within(u + ct, span)
     _check_lattice_budget(controls, needed)
-    result = seal(system, t, d=law.span)
+    result = seal(system, t, d=span)
     rows: list[tuple] = [
         ("seal", u, t, result.value, None),
         ("seal-beyond-horizon", u, t, result.beyond, None),
         ("seal-crossings", u, t, result.crossings, None),
     ]
     if u == 0.0:
-        agg = panjer(system.model.rate * t, law, needed)  # seal has checked needed >= 10
+        # seal has checked needed >= 10
+        agg = panjer(system.model.rate * t, lattice_masses(sev, span), needed)
         rows.append(("one-minus-non-ruin-zero", 0.0, t, 1.0 - non_ruin_zero(system, t, agg), None))
 
     if args.mc:
@@ -574,7 +577,7 @@ def cmd_portfolio(args: argparse.Namespace) -> str:
     xs = args.x if args.x else []
     if xs:
         n_out = max(int(math.ceil(max(xs) / severity.span)) + 1, 1)
-        agg = panjer(model.rate, _severity_lattice(severity, severity.span), n_out)
+        agg = panjer(model.rate, lattice_masses(severity), n_out)
         for x in xs:
             exact = portfolio_exact_tail(portfolio, x)
             rows.append(("tail", x, exact, agg.tail(steps_within(x, severity.span))))

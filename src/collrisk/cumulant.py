@@ -28,6 +28,8 @@ from .severity import Lattice, SeverityModel
 logger = logging.getLogger(__name__)
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_ENTROPY_RTOL = 1e-13  # relative tolerance of the tilt that maximizes x*xi - g(xi)
+_TERM_TOL = 1e-16  # the discrete Esscher sum stops once its terms fall below this
 
 __all__ = [
     "CompoundModel",
@@ -95,7 +97,7 @@ class EntropyPoint:
     h: float  # x*xi_x - g(xi_x) >= 0
 
 
-def entropy(model: CompoundModel, x: float, rtol: float = 1e-13) -> EntropyPoint:
+def entropy(model: CompoundModel, x: float) -> EntropyPoint:
     """Entropy h(x) = max_xi {x*xi - g(xi)} with its maximizing tilt.
 
     The maximizer solves g'(xi) = x, a strictly increasing equation, found
@@ -121,7 +123,7 @@ def entropy(model: CompoundModel, x: float, rtol: float = 1e-13) -> EntropyPoint
         lo = expand_lower(phi, 0.0)
         if math.isnan(lo):
             raise DomainError(f"g' never falls to {x}")
-    xi = safeguarded_newton(phi, model.g_second, lo, hi, rtol=rtol)
+    xi = safeguarded_newton(phi, model.g_second, lo, hi, rtol=_ENTROPY_RTOL)
     h = x * xi - model.g(xi)
     if h < -1e-12:
         raise DomainError(f"entropy came out negative ({h}); pathological severity")
@@ -156,10 +158,10 @@ def esscher_function(s: float) -> float:
     return float(special.erfcx(s / math.sqrt(2.0))) / 2.0
 
 
-def esscher_function_discrete(s: float, b: float, term_tol: float = 1e-16) -> float:
+def esscher_function_discrete(s: float, b: float) -> float:
     """Discrete counterpart E(s, b) = sum_n exp(-s n) * phi(n b) * b.
 
-    Direct summation, truncated once terms fall below ``term_tol``. As
+    Direct summation, truncated once terms fall below ``_TERM_TOL``. As
     b -> 0 at fixed s this tends to b / (sqrt(2 pi) (1 - e^{-s}))."""
     if s < 0.0:
         raise DomainError(f"Esscher function argument must be >= 0, got {s}")
@@ -172,7 +174,7 @@ def esscher_function_discrete(s: float, b: float, term_tol: float = 1e-16) -> fl
         n = np.arange(n0, n0 + chunk)
         terms = np.exp(-s * n - 0.5 * (n * b) ** 2) * (b / SQRT_TWO_PI)
         total += float(terms.sum())
-        if terms[-1] < term_tol:  # terms decrease in n
+        if terms[-1] < _TERM_TOL:  # terms decrease in n
             break
         n0 += chunk
     return total

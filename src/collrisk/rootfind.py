@@ -14,7 +14,8 @@ from typing import Callable
 
 from .errors import ConvergenceError
 
-_MAX_ITER = 200
+_MAX_ITER = 200  # Newton/bisection steps before a ConvergenceError
+_MAX_STEPS = 200  # bracket expansions before giving up with nan
 
 
 def safeguarded_newton(
@@ -23,7 +24,6 @@ def safeguarded_newton(
     lo: float,
     hi: float,
     rtol: float = 1e-14,
-    max_iter: int = _MAX_ITER,
 ) -> float:
     """Find the root of ``f`` in ``[lo, hi]`` where ``f(lo) <= 0 <= f(hi)``.
 
@@ -40,7 +40,7 @@ def safeguarded_newton(
         raise ValueError(f"root not bracketed: f({lo})={flo}, f({hi})={fhi}")
 
     x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         fx = f(x)
         if fx == 0.0:
             return x
@@ -55,23 +55,18 @@ def safeguarded_newton(
             return x_new
         x = x_new
     raise ConvergenceError(
-        f"no convergence after {max_iter} iterations (bracket [{lo}, {hi}])"
+        f"no convergence after {_MAX_ITER} iterations (bracket [{lo}, {hi}])"
     )
 
 
-def expand_upper(
-    f: Callable[[float], float],
-    start: float,
-    limit: float,
-    max_steps: int = 200,
-) -> float:
+def expand_upper(f: Callable[[float], float], start: float, limit: float) -> float:
     """Return ``hi > start`` with ``f(hi) > 0``, approaching ``limit`` geometrically.
 
     ``limit`` may be ``inf``, in which case ``hi`` doubles outward. Returns
-    ``nan`` if no sign change is found within ``max_steps``.
+    ``nan`` if no sign change is found within ``_MAX_STEPS`` steps.
     """
     hi = start
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if limit == float("inf"):
             hi = hi * 2.0 if hi > 0 else 1.0
         else:
@@ -81,14 +76,10 @@ def expand_upper(
     return float("nan")
 
 
-def expand_lower(
-    f: Callable[[float], float],
-    start: float,
-    max_steps: int = 200,
-) -> float:
+def expand_lower(f: Callable[[float], float], start: float) -> float:
     """Return ``lo < start`` with ``f(lo) < 0``, doubling downward (no lower limit)."""
     lo = start
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         lo = lo * 2.0 if lo < 0 else -1.0
         if f(lo) < 0.0:
             return lo

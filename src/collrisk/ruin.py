@@ -28,7 +28,8 @@ from .errors import (
 from .lattice import LatticeDistribution, _checked_severity, compound_geometric, panjer
 from .lattice import steps_to, steps_within
 from .rootfind import expand_lower, expand_upper, safeguarded_newton
-from .severity import SeverityModel, discretize, discretize_ladder
+from .severity import SeverityModel, discretize_ladder, lattice_masses
+from .severity import discretize  # noqa: F401  (bench/tracer.py patches this name here)
 
 __all__ = [
     "RiskSystem",
@@ -107,11 +108,6 @@ class LadderLaw:
     def density(self, u: float) -> float:
         return self.severity.sf(u) / self.severity.mean
 
-    def discretized(
-        self, d: float, n_max: int | None = None, tail_tol: float = 1e-10
-    ) -> LatticeDistribution:
-        return discretize_ladder(self.severity, d, n_max=n_max, tail_tol=tail_tol)
-
 
 def ladder(system: RiskSystem) -> LadderLaw:
     system._require_positive_loading("the ladder decomposition")
@@ -148,9 +144,7 @@ class RuinCurve:
         return self.upper[1:]
 
 
-def ruin_panjer(
-    system: RiskSystem, d: float, u_max: float, tail_tol: float = 1e-10
-) -> RuinCurve:
+def ruin_panjer(system: RiskSystem, d: float, u_max: float) -> RuinCurve:
     """r(u) for u in [0, u_max] by the compound-geometric recursion.
 
     The ladder-height density is discretized on span ``d`` and fed to the
@@ -163,7 +157,7 @@ def ruin_panjer(
     if not u_max > 0.0:
         raise DomainError(f"u_max must be positive, got {u_max}")
     law = ladder(system)
-    k = law.discretized(d, tail_tol=tail_tol)
+    k = discretize_ladder(law.severity, d)
     n_out = steps_to(u_max, d) + 1
     cg = compound_geometric(law.upcross_probability, k, n_out)
     return RuinCurve(d, cg.upper)
@@ -369,22 +363,13 @@ def non_ruin_zero(system: RiskSystem, t: float, aggregate: LatticeDistribution) 
     return float(np.dot(np.maximum(1.0 - n * d / ct, 0.0), aggregate.masses[n]))
 
 
-def _lattice_severity(system: RiskSystem, d: float | None, tail_tol: float) -> tuple[LatticeDistribution, float]:
-    """Severity as lattice masses (index 0 present, zero there) plus span.
+def _poisson_sf(k: int, mu: float) -> float:
+    """P(N(mu) > k), or its bound mu^(k+1)/(k+1)! where pdtrc underflows to 0.
 
-    The span defaults to the severity's own lattice span. A lattice
-    severity keeps its exact masses and admits no other span.
+    pdtrc returns 0 for a subnormal mu although P(N > 0) is about mu.
     """
-    sev = system.model.severity
-    span = sev.lattice_span if d is None else d
-    if span is None:
-        raise GridError("continuous severity: a discretization span is required")
-    exact = sev.as_distribution()
-    if exact is not None:
-        if abs(span - exact.span) > 1e-12 * exact.span:
-            raise GridError(f"severity lattice has span {exact.span}, requested {d}")
-        return exact, exact.span
-    return discretize(sev, span, tail_tol=tail_tol), span
+    tail = float(special.pdtrc(k, mu))
+    return tail or math.exp(special.xlogy(k + 1, mu) - special.gammaln(k + 2))
 
 
 def _crossing_sum(severity: LatticeDistribution, levels: np.ndarray, means: np.ndarray,
@@ -408,6 +393,7 @@ def _crossing_sum(severity: LatticeDistribution, levels: np.ndarray, means: np.n
     for k > top/i_0, so B = 0 from K = top // i_0 on; below mu* - 1, B = inf.
     The pass stops at the first K with B_K <= 2^-53 times the running sum or,
     if ``last`` is given, at K = min(last, top // i_0). Returns (sum, B_K, K).
+    P(N(mu*) > K) comes from ``_poisson_sf``, which does not underflow to 0.
     """
     nu, n, a = survival if survival is not None else (means, levels, 0.0)
     top = int(max(levels.max(initial=0), n.max(initial=0)))
@@ -425,8 +411,8 @@ def _crossing_sum(severity: LatticeDistribution, levels: np.ndarray, means: np.n
             below = np.cumsum(fk)[n] - a * np.cumsum(cells * fk)[n]
             surv += np.exp(special.xlogy(k, nu) - nu - log_k) * below
         value = float(np.sum(weights * mass * surv))
-        tail = 0.0 if k == exact_at else special.pdtrc(k, mu_star) if k + 1 >= mu_star else math.inf
-        bound = float(tail) * (1.0 + float(np.dot(weights, mass)))
+        tail = 0.0 if k == exact_at else _poisson_sf(k, mu_star) if k + 1 >= mu_star else math.inf
+        bound = tail * (1.0 + float(np.dot(weights, mass)))
         if (bound <= 2.0**-53 * value) if last is None else k == last:
             break
         fk = np.convolve(fk, f)[: top + 1]
@@ -448,9 +434,7 @@ class SealDecomposition:
     span: float
 
 
-def seal(
-    system: RiskSystem, t: float, d: float | None = None, tail_tol: float = 1e-10
-) -> SealDecomposition:
+def seal(system: RiskSystem, t: float, d: float | None = None) -> SealDecomposition:
     """Ruin probability by time t for initial capital u (from the system).
 
     Uses the exact lattice form of the two-term decomposition: the tail of
@@ -469,7 +453,8 @@ def seal(
     u = system.initial_capital
     c = system.premium_rate
     lam = system.model.rate
-    sev_dist, span = _lattice_severity(system, d, tail_tol)
+    sev_dist = lattice_masses(system.model.severity, d)
+    span = sev_dist.span
     ct = c * t
     if ct / span < 10.0:
         raise GridError(
@@ -515,7 +500,6 @@ def hitting_below(
     u: float,
     t: float | None = None,
     d: float | None = None,
-    tail_tol: float = 1e-10,
 ) -> HittingBelow:
     """Distribution of the first passage of U(t) to the level -u.
 
@@ -547,7 +531,8 @@ def hitting_below(
         value_by_t = 0.0  # the drift cannot reach -u before u/c
     elif t is not None:
         lam = system.model.rate
-        sev_dist, span = _lattice_severity(system, d, tail_tol)
+        sev_dist = lattice_masses(system.model.severity, d)
+        span = sev_dist.span
         m = np.arange(1, steps_within(c * t - u, span) + 1)
         s = (m * span + u) / c
         crossings = _crossing_sum(sev_dist, m, lam * s, u / (c * s))[0]

@@ -18,11 +18,12 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, TailError
+from .errors import DomainError, GridError, TailError
 from .lattice import LatticeDistribution
 
 _WEIGHT_TOL = 1e-12
-DEFAULT_TAIL_TOL = 1e-10
+TAIL_TOL = 1e-10  # tail mass a discretization may cut off beyond its last cell
+_MAX_CELLS = 10**9  # most cells a discretization may take to reach TAIL_TOL
 
 
 class SeverityModel:
@@ -92,20 +93,14 @@ class SeverityModel:
         """n independent claim sizes, with a fixed draw schedule per claim."""
         raise NotImplementedError
 
-    def coverage_cells(self, d: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-        """Smallest n with P(X > n*d) <= tail_tol."""
-        if not d > 0.0:
-            raise DomainError(f"span must be positive, got {d}")
-        if self.sf(d) <= tail_tol:
-            return 1
-        lo, hi = 1, 2
-        while self.sf(hi * d) > tail_tol:
+    def coverage_cells(self, d: float) -> int:
+        """Smallest n with P(X > n*d) <= TAIL_TOL, for a span ``discretize`` has checked."""
+        lo, hi = 0, 1
+        while self.sf(hi * d) > TAIL_TOL:
             lo, hi = hi, hi * 2
-            if hi > 10**9:
-                raise TailError(f"tail does not reach {tail_tol} within 1e9 cells of span {d}")
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self.sf(mid * d) > tail_tol:
+            if self.sf(mid * d) > TAIL_TOL:
                 lo = mid
             else:
                 hi = mid
@@ -158,10 +153,8 @@ class Exponential(SeverityModel):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return -np.log1p(-rng.random(n)) / self.rate
 
-    def coverage_cells(self, d: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-        if not d > 0.0:
-            raise DomainError(f"span must be positive, got {d}")
-        return max(1, math.ceil(-math.log(tail_tol) / (self.rate * d)))
+    def coverage_cells(self, d: float) -> int:
+        return max(1, math.ceil(-math.log(TAIL_TOL) / (self.rate * d)))
 
 
 @dataclass(frozen=True)
@@ -220,10 +213,8 @@ class Gamma(SeverityModel):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return special.gammaincinv(self.shape, rng.random(n)) * self.scale
 
-    def coverage_cells(self, d: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-        if not d > 0.0:
-            raise DomainError(f"span must be positive, got {d}")
-        x_star = float(special.gammainccinv(self.shape, tail_tol)) * self.scale
+    def coverage_cells(self, d: float) -> int:
+        x_star = float(special.gammainccinv(self.shape, TAIL_TOL)) * self.scale
         return max(1, math.ceil(x_star / d))
 
 
@@ -268,12 +259,6 @@ class PointMass(SeverityModel):
     @property
     def lattice_span(self) -> float:
         return self.location
-
-    def coverage_cells(self, d: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-        if not d > 0.0:
-            raise DomainError(f"span must be positive, got {d}")
-        n = max(1, math.ceil(self.location / d - 1e-12))
-        return n if n * d >= self.location else n + 1  # n*d rounded below the point
 
 
 @dataclass(frozen=True)
@@ -424,11 +409,9 @@ class Lattice(SeverityModel):
     def lattice_span(self) -> float:
         return self.span
 
-    def coverage_cells(self, d: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-        if not d > 0.0:
-            raise DomainError(f"span must be positive, got {d}")
+    def coverage_cells(self, d: float) -> int:
         n = max(1, math.ceil(len(self.masses) * self.span / d - 1e-12))
-        return n if self.sf(n * d) <= tail_tol else n + 1  # n*d rounded below the top
+        return n if self.sf(n * d) <= TAIL_TOL else n + 1  # n*d rounded below the top
 
     def as_distribution(self) -> LatticeDistribution:
         return LatticeDistribution(self.span, np.concatenate([[0.0], self.masses]))
@@ -471,22 +454,27 @@ def discretize(
     model: SeverityModel,
     d: float,
     n_max: int | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
     force: bool = False,
 ) -> LatticeDistribution:
     """Right-endpoint discretization of a severity onto span ``d``.
 
     The mass of the cell ((n-1)d, nd] is assigned to the point nd, which
     keeps all mass strictly positive as the aggregate recursion requires.
+    ``n_max`` defaults to the fewest cells that leave at most TAIL_TOL
+    beyond them, and a law that needs more than 1e9 cells is a TailError.
     Residual mass beyond ``n_max`` cells is folded into the last cell; if
-    it exceeds ``tail_tol`` and ``force`` is not set, a TailError is
-    raised instead (ruin recursions are exponentially sensitive to
-    truncated tails).
+    it exceeds TAIL_TOL and ``force`` is not set, a TailError is raised
+    instead (ruin recursions are exponentially sensitive to truncated
+    tails).
     """
     if not d > 0.0:
         raise DomainError(f"span must be positive, got {d}")
+    if not math.isfinite(d):
+        raise DomainError(f"span must be finite, got {d}")
     if n_max is None:
-        n_max = model.coverage_cells(d, tail_tol)
+        if model.sf(_MAX_CELLS * d) > TAIL_TOL:
+            raise TailError(f"tail does not reach {TAIL_TOL} within 1e9 cells of span {d}")
+        n_max = model.coverage_cells(d)
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     edges = np.arange(n_max + 1) * d
@@ -495,22 +483,33 @@ def discretize(
     surv = np.array([model.sf(e) for e in edges])
     cells = surv[:-1] - surv[1:]
     residual = surv[-1]
-    if residual > tail_tol and not force:
+    if residual > TAIL_TOL and not force:
         raise TailError(
             f"tail mass {residual:.3e} beyond {n_max} cells of span {d} "
-            f"exceeds tolerance {tail_tol:.1e}"
+            f"exceeds tolerance {TAIL_TOL:.1e}"
         )
     cells[-1] += residual
     return LatticeDistribution(d, np.concatenate([[0.0], cells]))
 
 
-def discretize_ladder(
-    model: SeverityModel,
-    d: float,
-    n_max: int | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    force: bool = False,
-) -> LatticeDistribution:
+def lattice_masses(model: SeverityModel, d: float | None = None) -> LatticeDistribution:
+    """The law's masses on a lattice: its exact masses, else ``discretize`` on span ``d``.
+
+    Exact masses fix the span, so any other ``d`` is a GridError. For every
+    other law ``d`` defaults to the law's own lattice span.
+    """
+    exact = model.as_distribution()
+    if exact is not None:
+        if d is not None and abs(d - exact.span) > 1e-12 * exact.span:
+            raise GridError(f"severity lattice has span {exact.span}, requested {d}")
+        return exact
+    span = model.lattice_span if d is None else d
+    if span is None:
+        raise GridError("continuous severity: a discretization span is required")
+    return discretize(model, span)
+
+
+def discretize_ladder(model: SeverityModel, d: float) -> LatticeDistribution:
     """Discretized ladder-height density k(u) = (1 - F(u)) / mu.
 
     Built from the discretized severity {f_m}: with S_n = sum_{m>=n} f_m
@@ -518,7 +517,7 @@ def discretize_ladder(
     k_n = (d / mu_d) S_n. They sum to one exactly and sit on strictly
     positive lattice points.
     """
-    f = discretize(model, d, n_max=n_max, tail_tol=tail_tol, force=force).masses
+    f = discretize(model, d).masses
     upper = np.cumsum(f[::-1])[::-1]  # upper[n] = sum_{m >= n} f_m, n >= 1 relevant
     total = upper[1:].sum()  # equals sum_m m f_m = mu_d / d
     k = upper[1:] / total

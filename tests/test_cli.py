@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 from collrisk import Exponential, Lattice, MixtureOfExponentials, ParseError, errors
+from collrisk import cli, ruin, severity
 from collrisk.cli import main, parse_model_file, parse_model_text
 
 EXP_MODEL_TEXT = """\
@@ -374,16 +375,60 @@ def test_flag_overrides_file(exp_model):
     assert value == pytest.approx(0.8 * math.exp(-1.0), rel=0.005)
 
 
-@pytest.mark.parametrize("span", ["0", "-0.01"])
-@pytest.mark.parametrize(
+_SPAN_COMMANDS = pytest.mark.parametrize(
     "argv",
     [["tail", "--t", "2", "--x", "1.5"], ["ruin", "--u", "1"], ["seal", "--u", "1", "--t", "4"]],
     ids=lambda argv: argv[0],
 )
+
+
+@pytest.mark.parametrize("span", ["0", "-0.01", "inf"])
+@_SPAN_COMMANDS
 def test_nonpositive_span_flag_is_a_parse_error(exp_model, capsys, argv, span):
     code, out = run([argv[0], exp_model, *argv[1:], "--span", span])
     assert (code, out) == (2, "")
-    assert f"span must be positive, got {float(span)}" in capsys.readouterr().err
+    problem = "finite" if span == "inf" else "positive"
+    assert f"span must be {problem}, got {float(span)}" in capsys.readouterr().err
+
+
+@_SPAN_COMMANDS
+def test_span_beyond_the_cell_cap_is_one_error_line(exp_model, capsys, argv):
+    code, out = run([argv[0], exp_model, *argv[1:], "--span", "1e-300"])
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "line, flags, key",
+    [
+        ("n_out = -5", [], "n_out"),
+        ("mc_paths = 0", [], "mc_paths"),
+        ("mc_paths = 5000", ["--paths", "0"], "mc_paths"),
+    ],
+    ids=["n_out-key", "mc_paths-key", "paths-flag"],
+)
+def test_nonpositive_count_is_a_parse_error(tmp_path, capsys, line, flags, key):
+    # rejected at parse time, also where the command never simulates
+    model = tmp_path / "counts.model"
+    model.write_text(EXP_MODEL_TEXT.replace("mc_paths = 5000", line))
+    code, out = run(["ruin", str(model), "--u", "1", *flags])
+    assert (code, out) == (2, "")
+    assert f"{key} must be positive" in capsys.readouterr().err
+
+
+def test_seal_discretizes_the_severity_once(exp_model, monkeypatch):
+    original, spans = severity.discretize, []
+
+    def counted(model, d, *args, **kwargs):
+        spans.append(d)
+        return original(model, d, *args, **kwargs)
+
+    for module in (cli, ruin, severity):  # count calls through every binding of the name
+        if hasattr(module, "discretize"):
+            monkeypatch.setattr(module, "discretize", counted)
+    code, _ = run(["seal", exp_model, "--u", "2", "--t", "4", "--span", "0.01"])
+    assert (code, spans) == (0, [0.01])
 
 
 def test_exit_codes(exp_model, tmp_path):

@@ -2,10 +2,11 @@
 finite-time formulas, bounds, normal limit, composite split."""
 
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -472,6 +473,8 @@ def test_seal_crossings_on_unit_claims_are_poisson_masses(u, t):
     st.integers(0, 40),
     st.randoms(use_true_random=False),
 )
+# a subnormal largest mean, where scipy's pdtrc(0, mu) underflows to 0
+@example([1.0], 0, 1, 1.1e-309, False, 0, random.Random(0))
 def test_crossing_sum_stopped_early_is_bounded(sev, gap, top, mu_max, with_survival, last, rnd):
     # claims start at cell gap + 1, so powers beyond top // (gap + 1) miss cells 0..top
     f = Lattice(1.0, (0.0,) * gap + tuple(np.asarray(sev) / sum(sev))).as_distribution()

@@ -12,12 +12,14 @@ from collrisk import (
     DomainError,
     Exponential,
     Gamma,
+    GridError,
     Lattice,
     MixtureOfExponentials,
     PointMass,
     TailError,
     discretize,
     discretize_ladder,
+    lattice_masses,
 )
 
 # ---------------------------------------------------------------------------
@@ -265,6 +267,39 @@ def test_discretize_mass_is_one(model, d):
 def test_discretize_keeps_atoms_on_their_lattice_point(model, d):
     # each atom is a multiple of d only up to rounding of n*d
     assert discretize(model, d).mean() == pytest.approx(model.moment(1), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [0.0, -0.5, math.inf, math.nan])
+def test_discretize_rejects_a_bad_span(d):
+    with pytest.raises(DomainError, match="span must be"):
+        discretize(Exponential(1.0), d)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Exponential(1.0), Gamma(2.0), PointMass(1.0), MixtureOfExponentials((0.5, 0.5), (1.0, 2.0)),
+     Lattice(0.5, (0.4, 0.6))],
+    ids=lambda m: type(m).__name__,
+)
+def test_discretize_caps_the_cell_count(model):
+    # closed-form cell counts reach the cap too, before any array is allocated
+    with pytest.raises(TailError, match="within 1e9 cells"):
+        discretize(model, 1e-300)
+
+
+def test_lattice_masses_are_exact_else_discretized():
+    lat = Lattice(0.5, (0.4, 0.6))
+    assert np.array_equal(lattice_masses(lat).masses, lat.as_distribution().masses)
+    assert lattice_masses(lat, 0.5).span == 0.5
+    with pytest.raises(GridError):
+        lattice_masses(lat, 0.25)  # exact masses fix the span
+    point = PointMass(1.0)
+    assert np.array_equal(lattice_masses(point).masses, discretize(point, 1.0).masses)
+    assert np.array_equal(lattice_masses(point, 0.25).masses, discretize(point, 0.25).masses)
+    with pytest.raises(GridError):
+        lattice_masses(Exponential(1.0))  # a density has no span of its own
+    assert np.array_equal(lattice_masses(Exponential(1.0), 0.1).masses,
+                          discretize(Exponential(1.0), 0.1).masses)
 
 
 @pytest.mark.parametrize("d", [0.2, 0.1, 0.05, 0.01])
