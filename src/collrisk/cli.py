@@ -600,15 +600,23 @@ def _add_common(parser: argparse.ArgumentParser, mc: bool = True) -> None:
         parser.add_argument("--mc", action="store_true", help="add Monte Carlo estimates")
         parser.add_argument("--paths", type=int, default=None, help="override mc_paths")
         parser.add_argument("--seed", type=int, default=None, help="override mc_seed")
-        parser.add_argument("--horizon", type=float, default=None, help="override mc_horizon")
+        parser.add_argument("--horizon", type=_finite, default=None, help="override mc_horizon")
         parser.add_argument("--workers", type=int, default=1, help="simulation worker threads")
 
 
-def _float_list(raw: str) -> list[float]:
+def _finite(raw: str) -> float:
+    """A finite number from the command line; argparse names the flag on error."""
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        value = float(raw)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got '{raw}'") from exc
+        raise argparse.ArgumentTypeError(f"expected a number, got '{raw}'") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got '{raw}'")
+    return value
+
+
+def _float_list(raw: str) -> list[float]:
+    return [_finite(tok) for tok in raw.split(",") if tok.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -620,8 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tail", help="approximations of P(S(t) >= t*x)")
     p.add_argument("model", help="model file")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--t", type=_finite, required=True)
+    p.add_argument("--x", type=_finite, required=True)
     _add_common(p)
 
     p = sub.add_parser("ruin", help="ruin probability r(u) by all applicable methods")
@@ -633,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ruin-time", help="ruin-time scale, bounds and normal limit")
     p.add_argument("model", help="model file")
-    p.add_argument("--u", type=float, required=True)
+    p.add_argument("--u", type=_finite, required=True)
     p.add_argument("--t", type=_float_list, default=None,
                    help="time ratios (default: multiples of tbar)")
     p.add_argument("--absolute", dest="relative", action="store_false",
@@ -644,8 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seal", help="finite-time ruin probability r(u, t)")
     p.add_argument("model", help="model file")
-    p.add_argument("--u", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--u", type=_finite, required=True)
+    p.add_argument("--t", type=_finite, required=True)
     _add_common(p)
 
     p = sub.add_parser("portfolio", help="compound model from a policy file")

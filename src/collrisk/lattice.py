@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular, toeplitz
 
 from .errors import DomainError, ParseError, UnderflowWarning
 
@@ -25,6 +26,8 @@ _MASS_TOL = 1e-12
 # work values above this trigger a rescale in the scaled recursion
 _RESCALE_AT = 1e280
 _RESCALE_LOG = 600.0
+# cells per block of the recursion: one correlation and one triangular solve each
+_BLOCK = 64
 
 
 def _tails_from_masses(masses: np.ndarray) -> np.ndarray:
@@ -48,11 +51,14 @@ class LatticeDistribution:
 
     ``masses[n]`` is the probability of the point ``n*span``. ``tails[n]``
     is ``P(> n*span)``; the last tail equals the truncation remainder, the
-    probability mass beyond the stored support.
+    probability mass beyond the stored support. ``rescales`` counts the
+    times the recursion that made the masses scaled its work down by
+    e^-600 (0 for masses from anywhere else).
     """
 
     span: float
     masses: np.ndarray
+    rescales: int = 0
     tails: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -148,8 +154,8 @@ def _checked_severity(severity: LatticeDistribution, what: str) -> np.ndarray:
     if f[0] != 0.0:
         raise DomainError(f"{what} must place no mass at zero, got f0={f[0]}")
     total = float(f.sum())
-    if total > 1.0 + _MASS_TOL:
-        raise DomainError(f"{what} masses sum to {total} > 1")
+    if not 0.0 < total <= 1.0 + _MASS_TOL:
+        raise DomainError(f"{what} masses sum to {total}, outside (0, 1]")
     if abs(total - 1.0) > 1e-15:
         if abs(total - 1.0) > 1e-9:
             logger.warning(
@@ -161,31 +167,67 @@ def _checked_severity(severity: LatticeDistribution, what: str) -> np.ndarray:
     return f
 
 
-def _recurse(coef: np.ndarray, steps: list[float], seed: float, log_seed: float) -> np.ndarray:
+def _recurse(
+    coef: np.ndarray, steps: np.ndarray, seed: float, log_seed: float
+) -> tuple[np.ndarray, int]:
     """The linear recursion behind both engines.
 
     Returns w_0..w_n for n = len(steps), with w_0 = seed * exp(log_seed) and
-    w_n = steps[n-1] * (coef_1 w_{n-1} + ... + coef_m w_{n-m}), m = min(n, coef.size - 1).
-    The work runs on mantissas that share one exponent: whenever a value
-    passes 1e280 the whole prefix is scaled down by e^-600, so a seed far
-    below the double range still carries the recursion.
-    """
-    n_out = len(steps)
-    n_coef = coef.size - 1
-    work = np.zeros(n_out + 1)
-    work[0] = seed
-    log_scale = log_seed
-    for n in range(1, n_out + 1):
-        m = min(n, n_coef)
-        work[n] = steps[n - 1] * float(np.dot(coef[1 : m + 1], work[n - 1 :: -1][:m]))
-        if work[n] > _RESCALE_AT:
-            work[: n + 1] *= math.exp(-_RESCALE_LOG)
-            log_scale += _RESCALE_LOG
+    w_n = steps[n-1] * (coef_1 w_{n-1} + ... + coef_m w_{n-m}), m = min(n, coef.size - 1),
+    and the number of rescales it made.
 
+    The cells go in blocks of ``_BLOCK``. Within a block of cells n..n+b-1,
+    with a its steps, the terms reaching back before n form one correlation
+    h, and the rest couple the block to itself: w = diag(a)(h + T w) with
+    T[i, k] = coef_{i-k} strictly lower triangular. That is the unit lower-triangular system
+    (I - diag(a) T) w = a*h, solved without pivoting: every entry of w, h, a
+    and coef is nonnegative, so forward substitution only adds positive
+    terms and each w keeps a relative error of a few ulps. A block of one
+    cell is the cell rule w_n = a_n h_n.
+
+    The work runs on mantissas that share one exponent: whenever a cell
+    passes 1e280 the whole prefix is scaled down by e^-600, so a seed far
+    below the double range still carries the recursion. A block whose
+    maximum passes 1e280 (or is not finite) is redone at half its size, so
+    the rescale falls after the same cell as in the cell rule and no block
+    overflows.
+    """
+    n_out, n_coef = steps.size, coef.size - 1
+    # w_n sits at work[n_coef + n]; the zeros in front stand for w_{<0}
+    work = np.zeros(n_coef + n_out + 1)
+    work[n_coef] = seed
+    log_scale = log_seed
+    rescales = 0
+    size = min(_BLOCK, n_out)
+    col = np.zeros(size)
+    col[: min(size, coef.size)] = coef[:size]
+    coupling = toeplitz(col, np.zeros(size))
+    history = coef[:0:-1]
+    n = 1
+    while n <= n_out:
+        b = min(size, n_out + 1 - n)
+        while True:
+            a_blk = steps[n - 1 : n - 1 + b]
+            h = np.correlate(work[n : n + n_coef + b - 1], history, "valid")
+            # unit_diagonal: the coef_0 diagonal of T is never read
+            w = solve_triangular(-a_blk[:, None] * coupling[:b, :b], a_blk * h,
+                                 lower=True, unit_diagonal=True, check_finite=False)
+            if b == 1 or w.max() <= _RESCALE_AT:
+                break
+            b //= 2
+        n += b
+        work[n_coef + n - b : n_coef + n] = w
+        if w[-1] > _RESCALE_AT:
+            work[: n_coef + n] *= math.exp(-_RESCALE_LOG)
+            log_scale += _RESCALE_LOG
+            rescales += 1
+
+    work = work[n_coef:]
     if log_scale > -700.0:
-        return work * math.exp(log_scale)
+        return work * math.exp(log_scale), rescales
     with np.errstate(divide="ignore"):
-        return np.where(work > 0.0, np.exp(np.log(np.maximum(work, 1e-320)) + log_scale), 0.0)
+        scaled = np.where(work > 0.0, np.exp(np.log(np.maximum(work, 1e-320)) + log_scale), 0.0)
+    return scaled, rescales
 
 
 def panjer(rate: float, severity: LatticeDistribution, n_out: int) -> LatticeDistribution:
@@ -211,8 +253,9 @@ def panjer(rate: float, severity: LatticeDistribution, n_out: int) -> LatticeDis
             UnderflowWarning,
             stacklevel=2,
         )
-    steps = (rate / np.arange(1, n_out + 1)).tolist()
-    return LatticeDistribution(severity.span, _recurse(np.arange(f.size) * f, steps, 1.0, -rate))
+    steps = rate / np.arange(1, n_out + 1)
+    masses, rescales = _recurse(np.arange(f.size) * f, steps, 1.0, -rate)
+    return LatticeDistribution(severity.span, masses, rescales)
 
 
 @dataclass(frozen=True)
@@ -241,7 +284,8 @@ def compound_geometric(
     if n_out < 1:
         raise DomainError(f"n_out must be >= 1, got {n_out}")
     k = _checked_severity(ladder, "ladder-height")
-    dist = LatticeDistribution(ladder.span, _recurse(k, [r] * n_out, 1.0 - r, 0.0))
+    masses, rescales = _recurse(k, np.full(n_out, r), 1.0 - r, 0.0)
+    dist = LatticeDistribution(ladder.span, masses, rescales)
     upper = np.maximum(np.concatenate(([1.0], dist.tails)), 0.0)
     upper.setflags(write=False)
     return CompoundGeometric(dist, upper)

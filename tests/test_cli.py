@@ -400,6 +400,29 @@ def test_span_beyond_the_cell_cap_is_one_error_line(exp_model, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["tail", "--t", "inf", "--x", "1.5"], "--t"),
+        (["tail", "--t", "2", "--x", "nan"], "--x"),
+        (["seal", "--u", "1", "--t", "inf"], "--t"),
+        (["seal", "--u", "nan", "--t", "4"], "--u"),
+        (["ruin", "--u", "inf"], "--u"),
+        (["ruin", "--u", "1,nan"], "--u"),
+        (["ruin", "--u", "1", "--mc", "--horizon", "inf"], "--horizon"),
+        (["ruin-time", "--u", "inf"], "--u"),
+        (["ruin-time", "--u", "2", "--t", "1,-inf"], "--t"),
+        (["portfolio", "--x", "inf"], "--x"),
+    ],
+    ids=lambda v: "-".join(v) if isinstance(v, list) else v,
+)
+def test_non_finite_flag_is_a_usage_error(exp_model, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run([argv[0], exp_model, *argv[1:]])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "line, flags, key",
     [
         ("n_out = -5", [], "n_out"),

@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from collrisk import (
     DomainError,
+    Exponential,
     LatticeDistribution,
     ParseError,
     UnderflowWarning,
     compound_geometric,
+    discretize,
     panjer,
 )
+from collrisk.lattice import _recurse
 
 
 def convolution_mixture(rate, f, n_out, n_terms=40):
@@ -47,6 +52,27 @@ def geometric_series(r, k, n_out, n_terms=50):
 
 def lattice(d, masses):
     return LatticeDistribution(d, np.asarray(masses, dtype=float))
+
+
+def cell_rule(coef, steps, seed, log_seed):
+    """The recursion one cell at a time, rescaling after any cell past 1e280."""
+    work, log_scale = np.zeros(steps.size + 1), log_seed
+    work[0] = seed
+    for n in range(1, steps.size + 1):
+        m = min(n, coef.size - 1)
+        work[n] = steps[n - 1] * np.dot(coef[1 : m + 1], work[n - 1 :: -1][:m])
+        if work[n] > 1e280:
+            work[: n + 1] *= math.exp(-600.0)
+            log_scale += 600.0
+    with np.errstate(divide="ignore"):
+        return np.exp(np.log(work) + log_scale)
+
+
+def assert_matches_cell_rule(masses, reference, rel):
+    """Relative agreement on every reference mass of at least 1e-290."""
+    shown = reference >= 1e-290
+    assert np.all(np.isfinite(masses))
+    assert np.all(np.abs(masses[shown] - reference[shown]) <= rel * reference[shown])
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +149,9 @@ def test_panjer_input_validation():
         panjer(-1.0, lattice(1.0, [0.0, 1.0]), 10)
     with pytest.raises(DomainError):
         panjer(1.0, lattice(1.0, [0.0, 1.0]), 0)
+    for empty in ([0.0], [0.0, 0.0]):  # no claim-size mass to renormalize
+        with pytest.raises(DomainError):
+            panjer(1.0, lattice(1.0, empty), 10)
 
 
 def test_panjer_renormalizes_with_log(caplog):
@@ -198,6 +227,92 @@ def test_compound_geometric_domain():
     for bad in (0.0, 1.0, 1.5, -0.2):
         with pytest.raises(DomainError):
             compound_geometric(bad, k, 5)
+
+
+# ---------------------------------------------------------------------------
+# blocked kernel against the cell rule
+# ---------------------------------------------------------------------------
+
+
+def check_kernel(n_coef, n_out, panjer_shape, rate, r, sparsity, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.random(n_coef + 1) * (rng.random(n_coef + 1) >= sparsity)
+    f[0] = 0.0
+    f[-1] += f.sum() == 0.0
+    f /= f.sum()
+    if panjer_shape:  # n*g_n = rate * sum_x x*f_x*g_{n-x}
+        args = (np.arange(f.size) * f, rate / np.arange(1, n_out + 1), 1.0, -rate)
+    else:  # l_n = r * sum_x k_x*l_{n-x}
+        args = (f, np.full(n_out, r), 1.0 - r, 0.0)
+    masses, _ = _recurse(*args)
+    # from rate 700 on, both sides return exp(log w + log_scale); rounding log w
+    # (about 650) to its ulp costs up to 1.1e-13 relative, so the gate widens there
+    scaled = panjer_shape and rate >= 700.0
+    assert_matches_cell_rule(masses, cell_rule(*args), 1e-12 if scaled else 1e-13)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_coef=st.integers(1, 299),
+    n_out=st.integers(1, 400),
+    panjer_shape=st.booleans(),
+    rate=st.floats(0.01, 3000.0),
+    r=st.floats(0.01, 0.99),
+    sparsity=st.floats(0.0, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_cell_rule(n_coef, n_out, panjer_shape, rate, r, sparsity, seed):
+    check_kernel(n_coef, n_out, panjer_shape, rate, r, sparsity, seed)
+
+
+@pytest.mark.parametrize("panjer_shape", [True, False], ids=["panjer", "geometric"])
+@pytest.mark.parametrize("n_out", [1, 63, 64, 65, 197])
+@pytest.mark.parametrize("n_coef", [1, 5, 64, 299])
+def test_kernel_matches_cell_rule_at_block_edges(n_coef, n_out, panjer_shape):
+    check_kernel(n_coef, n_out, panjer_shape, rate=4.0, r=0.7, sparsity=0.3, seed=n_out)
+
+
+@pytest.fixture(scope="module")
+def bench_severity():
+    sev = discretize(Exponential(1.0), 0.01)
+    assert sev.size == 2304 and abs(sev.masses.sum() - 1.0) <= 1e-15  # used unrenormalized
+    return sev
+
+
+def test_panjer_bench_shape_matches_cell_rule(bench_severity):
+    rate, n_out = 50.0, 10_000
+    f = bench_severity.masses
+    reference = cell_rule(np.arange(f.size) * f, rate / np.arange(1, n_out + 1), 1.0, -rate)
+    assert_matches_cell_rule(panjer(rate, bench_severity, n_out).masses, reference, 1e-13)
+
+
+def test_compound_geometric_bench_shape_matches_cell_rule(bench_severity):
+    r, n_out = 0.8, 25_000
+    reference = cell_rule(bench_severity.masses, np.full(n_out, r), 1.0 - r, 0.0)
+    masses = compound_geometric(r, bench_severity, n_out).dist.masses
+    assert masses.size == 25_001
+    assert_matches_cell_rule(masses, reference, 1e-13)
+
+
+def test_panjer_scaled_point_mass_keeps_every_block_finite():
+    # at rate 5000 one 64-cell block grows past the double range unless it is split
+    rate = 5000.0
+    with pytest.warns(UnderflowWarning):
+        agg = panjer(rate, lattice(1.0, [0.0, 1.0]), 10_000)
+    assert np.all(np.isfinite(agg.masses))
+    sd = math.sqrt(rate)
+    near = np.arange(int(rate - 3 * sd), int(rate + 3 * sd) + 1)
+    np.testing.assert_allclose(agg.masses[near], stats.poisson.pmf(near, rate), rtol=1e-9)
+    assert agg.masses.sum() == pytest.approx(1.0, abs=1e-9)
+    # the work climbs from e^0 to about e^5000, 600 e-folds per rescale
+    assert rate / 600.0 - 1.0 <= agg.rescales <= rate / 600.0 + 1.0
+
+
+def test_no_rescale_while_the_seed_is_representable():
+    for rate in (1.0, 50.0, 600.0):
+        assert panjer(rate, lattice(1.0, [0.0, 0.5, 0.5]), 2000).rescales == 0
+    assert compound_geometric(0.8, lattice(1.0, [0.0, 0.5, 0.5]), 5000).dist.rescales == 0
+    assert lattice(1.0, [0.5, 0.5]).rescales == 0
 
 
 # ---------------------------------------------------------------------------
