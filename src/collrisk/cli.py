@@ -9,6 +9,7 @@ and runs are byte-identical for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import sys
@@ -144,9 +145,9 @@ _SEVERITY_KEYS = {"kind", "rate", "shape", "location", "weights", "rates", "span
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ParseError(f"key '{key}': expected a number, got '{raw}'") from exc
+        return _finite(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ParseError(f"key '{key}': {exc}") from exc
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -157,10 +158,7 @@ def _parse_int(key: str, raw: str) -> int:
 
 
 def _parse_float_list(key: str, raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ParseError(f"key '{key}': expected comma-separated numbers, got '{raw}'") from exc
+    return tuple(_parse_float(key, tok) for tok in map(str.strip, raw.split(",")) if tok)
 
 
 def _severity_from_block(block: dict[str, str], base_dir: Path) -> SeverityModel:
@@ -528,7 +526,7 @@ def cmd_seal(spec: ModelSpec, args: argparse.Namespace) -> str:
     ]
     if u == 0.0:
         # seal has checked needed >= 10
-        agg = panjer(system.model.rate * t, lattice_masses(sev, span), needed)
+        agg = panjer(system.model.rate * t, result.severity, needed)
         rows.append(("one-minus-non-ruin-zero", 0.0, t, 1.0 - non_ruin_zero(system, t, agg), None))
 
     if args.mc:
@@ -574,12 +572,10 @@ def cmd_portfolio(args: argparse.Namespace) -> str:
         if mass > 0.0:
             rows.append(("atom", idx * severity.span, mass))
 
-    xs = args.x if args.x else []
-    if xs:
-        n_out = max(int(math.ceil(max(xs) / severity.span)) + 1, 1)
+    if args.x:
+        n_out = max(int(math.ceil(max(args.x) / severity.span)) + 1, 1)
         agg = panjer(model.rate, lattice_masses(severity), n_out)
-        for x in xs:
-            exact = portfolio_exact_tail(portfolio, x)
+        for x, exact in zip(args.x, portfolio_exact_tail(portfolio, args.x)):
             rows.append(("tail", x, exact, agg.tail(steps_within(x, severity.span))))
 
     return _render(["section", "key", "value", "extra"],
@@ -619,6 +615,7 @@ def _float_list(raw: str) -> list[float]:
     return [_finite(tok) for tok in raw.split(",") if tok.strip()]
 
 
+@functools.cache  # built on the first call, not at import; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collrisk",

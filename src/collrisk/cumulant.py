@@ -386,11 +386,12 @@ _MAX_POLICIES = 25
 _MAX_SUPPORT = 1 << 21
 
 
-def portfolio_exact_tail(portfolio: Portfolio, x: float) -> float:
+def portfolio_exact_tail(portfolio: Portfolio, x: float | list[float]) -> float | list[float]:
     """Exact P(total individual loss > x) by convolving two-point laws.
 
     Supports up to 25 policies; the support of the convolution is merged
-    on the fly, so commensurable sums at risk stay cheap.
+    on the fly, so commensurable sums at risk stay cheap. For a sequence
+    of levels the tails come, in order, from one convolution.
     """
     if len(portfolio) > _MAX_POLICIES:
         raise SizeError(
@@ -409,8 +410,10 @@ def portfolio_exact_tail(portfolio: Portfolio, x: float) -> float:
         dist = new
         if len(dist) > _MAX_SUPPORT:
             raise SizeError("convolution support exceeded the enumeration cap")
-    threshold = x + 1e-12 * max(1.0, abs(x))
-    return sum(pr for key, pr in dist.items() if key * resolution > threshold)
+    levels = np.atleast_1d(x)
+    thresholds = (levels + 1e-12 * np.maximum(1.0, np.abs(levels))).tolist()
+    tails = [sum(pr for key, pr in dist.items() if key * resolution > t) for t in thresholds]
+    return tails if np.ndim(x) else tails[0]
 
 
 def suggest_truncation(

@@ -12,7 +12,7 @@ bounds with the ruin-time central limit theorem at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -425,13 +425,14 @@ class SealDecomposition:
 
     ``beyond`` is the probability that the net loss at the horizon already
     exceeds the capital; ``crossings`` collects the last-downcrossing sum
-    over lattice levels.
+    over lattice levels. Both come from the claim-size masses ``severity``.
     """
 
     value: float
     beyond: float
     crossings: float
     span: float
+    severity: LatticeDistribution = field(repr=False, compare=False)
 
 
 def seal(system: RiskSystem, t: float, d: float | None = None) -> SealDecomposition:
@@ -478,7 +479,7 @@ def seal(system: RiskSystem, t: float, d: float | None = None) -> SealDecomposit
     value = beyond + crossings
     if value > 1.0 + 1e-9:
         raise DomainError(f"finite-time ruin probability {value} exceeds one")
-    return SealDecomposition(min(max(value, 0.0), 1.0), beyond, crossings, span)
+    return SealDecomposition(min(max(value, 0.0), 1.0), beyond, crossings, span, sev_dist)
 
 
 @dataclass(frozen=True)

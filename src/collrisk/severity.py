@@ -29,7 +29,7 @@ _MAX_CELLS = 10**9  # most cells a discretization may take to reach TAIL_TOL
 class SeverityModel:
     """Common interface of all claim-size variants."""
 
-    xi_bar: float  # convergence abscissa: sup of xi with f(xi) finite
+    xi_bar: float = math.inf  # convergence abscissa: sup of xi with f(xi) finite
 
     def _check_tilt(self, xi: float) -> None:
         if xi >= self.xi_bar:
@@ -67,6 +67,10 @@ class SeverityModel:
     def sf(self, x: float) -> float:
         """Survival function P(X > x)."""
         raise NotImplementedError
+
+    def _sf_array(self, x: np.ndarray) -> np.ndarray:
+        """``sf`` at every point of ``x``, equal to the scalar ``sf`` bit for bit."""
+        return np.array([self.sf(v) for v in x.tolist()])
 
     def tilt(self, a: float) -> "SeverityModel":
         """The exponentially reweighted law e^{a x} F(dx) / f(a), same family."""
@@ -206,6 +210,9 @@ class Gamma(SeverityModel):
     def sf(self, x: float) -> float:
         return float(special.gammaincc(self.shape, x / self.scale)) if x > 0 else 1.0
 
+    def _sf_array(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x > 0, special.gammaincc(self.shape, x / self.scale), 1.0)
+
     def tilt(self, a: float) -> "Gamma":
         self._check_tilt(a)
         return Gamma(self.shape, self.scale / (1.0 - self.scale * a))
@@ -227,10 +234,6 @@ class PointMass(SeverityModel):
     def __post_init__(self):
         if not self.location > 0.0:
             raise DomainError(f"location must be positive, got {self.location}")
-
-    @property
-    def xi_bar(self) -> float:
-        return math.inf
 
     def mgf(self, xi: float) -> float:
         return math.exp(xi * self.location)
@@ -292,42 +295,47 @@ class MixtureOfExponentials(SeverityModel):
     def xi_bar(self) -> float:
         return self.rates[0]
 
+    @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.weights), np.asarray(self.rates)
 
     def mgf(self, xi: float) -> float:
         self._check_tilt(xi)
-        w, b = self._arrays()
+        w, b = self._arrays
         return float(np.sum(w * b / (b - xi)))
 
     def mgf_m1(self, xi: float) -> float:
         self._check_tilt(xi)
-        w, b = self._arrays()
+        w, b = self._arrays
         return float(np.sum(w * xi / (b - xi)))
 
     def mgf_prime(self, xi: float) -> float:
         self._check_tilt(xi)
-        w, b = self._arrays()
+        w, b = self._arrays
         return float(np.sum(w * b / (b - xi) ** 2))
 
     def mgf_second(self, xi: float) -> float:
         self._check_tilt(xi)
-        w, b = self._arrays()
+        w, b = self._arrays
         return float(np.sum(2.0 * w * b / (b - xi) ** 3))
 
     def moment(self, k: int) -> float:
-        w, b = self._arrays()
+        w, b = self._arrays
         return float(math.factorial(k) * np.sum(w / b**k))
 
     def sf(self, x: float) -> float:
         if x <= 0:
             return 1.0
-        w, b = self._arrays()
+        w, b = self._arrays
         return float(np.sum(w * np.exp(-b * x)))
+
+    def _sf_array(self, x: np.ndarray) -> np.ndarray:
+        w, b = self._arrays
+        return np.where(x > 0, np.sum(w * np.exp(-b * x[:, None]), axis=1), 1.0)
 
     def tilt(self, a: float) -> "MixtureOfExponentials":
         self._check_tilt(a)
-        w, b = self._arrays()
+        w, b = self._arrays
         new_w = w * b / (b - a)
         new_w /= new_w.sum()
         return MixtureOfExponentials(tuple(new_w), tuple(b - a))
@@ -336,7 +344,7 @@ class MixtureOfExponentials(SeverityModel):
         return self
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        w, rates = self._arrays()
+        w, rates = self._arrays
         comp = np.minimum(
             np.searchsorted(np.cumsum(w), rng.random(n), side="right"), rates.size - 1
         )
@@ -348,59 +356,53 @@ class Lattice(SeverityModel):
     """Discrete claim sizes on ``{d, 2d, ...}``; ``masses[n-1]`` sits at ``n*d``.
 
     Support is strictly positive and finite, so the generating function is
-    entire (infinite convergence abscissa).
+    entire (infinite convergence abscissa). The masses are also held as one
+    LatticeDistribution, built once, that ``as_distribution`` returns.
     """
 
     span: float
     masses: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.span > 0.0:
-            raise DomainError(f"span must be positive, got {self.span}")
         f = tuple(float(v) for v in self.masses)
         object.__setattr__(self, "masses", f)
-        if not f:
-            raise DomainError("lattice severity needs at least one mass")
         if any(v < 0.0 for v in f):
             raise DomainError("lattice masses must be nonnegative")
         if abs(sum(f) - 1.0) > _WEIGHT_TOL:
             raise DomainError(f"lattice masses sum to {sum(f)}, not 1")
+        # not a dataclass field: fields are the parameters; LatticeDistribution checks the span
+        object.__setattr__(self, "_dist", LatticeDistribution(self.span, np.concatenate([[0.0], f])))
 
-    @property
-    def xi_bar(self) -> float:
-        return math.inf
-
-    def _points(self) -> tuple[np.ndarray, np.ndarray]:
-        f = np.asarray(self.masses)
-        x = np.arange(1, f.size + 1) * self.span
-        return x, f
+    @cached_property  # cells 1, 2, ...: each sum adds the terms of ``masses`` in their order
+    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.arange(1, self._dist.size) * self.span, self._dist.masses[1:]
 
     def mgf(self, xi: float) -> float:
-        x, f = self._points()
+        x, f = self._cells
         return float(np.sum(f * np.exp(xi * x)))
 
     def mgf_m1(self, xi: float) -> float:
-        x, f = self._points()
+        x, f = self._cells
         return float(np.sum(f * np.expm1(xi * x)))
 
     def mgf_prime(self, xi: float) -> float:
-        x, f = self._points()
+        x, f = self._cells
         return float(np.sum(f * x * np.exp(xi * x)))
 
     def mgf_second(self, xi: float) -> float:
-        x, f = self._points()
+        x, f = self._cells
         return float(np.sum(f * x**2 * np.exp(xi * x)))
 
     def moment(self, k: int) -> float:
-        x, f = self._points()
+        x, f = self._cells
         return float(np.sum(f * x**k))
 
     def sf(self, x: float) -> float:
-        pts, f = self._points()
+        pts, f = self._cells
         return float(np.sum(f[pts > x]))
 
     def tilt(self, a: float) -> "Lattice":
-        x, f = self._points()
+        x, f = self._cells
         w = f * np.exp(a * x)
         w /= w.sum()
         return Lattice(self.span, tuple(w))
@@ -414,11 +416,11 @@ class Lattice(SeverityModel):
         return n if self.sf(n * d) <= TAIL_TOL else n + 1  # n*d rounded below the top
 
     def as_distribution(self) -> LatticeDistribution:
-        return LatticeDistribution(self.span, np.concatenate([[0.0], self.masses]))
+        return self._dist
 
     @cached_property
     def _alias(self) -> tuple[np.ndarray, np.ndarray]:
-        return _alias_table(np.asarray(self.masses))
+        return _alias_table(self._cells[1])
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         prob, alias = self._alias
@@ -443,10 +445,7 @@ def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         alias[s] = l
         scaled[l] -= 1.0 - scaled[s]
         (small if scaled[l] < 1.0 else large).append(l)
-    for i in large:
-        prob[i] = 1.0
-    for i in small:
-        prob[i] = 1.0
+    prob[large + small] = 1.0
     return prob, alias
 
 
@@ -480,7 +479,7 @@ def discretize(
     edges = np.arange(n_max + 1) * d
     if model.lattice_span is not None:
         edges += 1e-9 * d  # keep an atom on its lattice point when n*d rounds below it
-    surv = np.array([model.sf(e) for e in edges])
+    surv = model._sf_array(edges)
     cells = surv[:-1] - surv[1:]
     residual = surv[-1]
     if residual > TAIL_TOL and not force:

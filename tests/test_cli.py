@@ -2,7 +2,8 @@
 
 import io
 import math
-from contextlib import redirect_stdout
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from scipy import stats
@@ -360,6 +361,41 @@ def test_byte_identical_reruns(exp_model):
     assert run(argv) == run(argv)
 
 
+def run_all(argv):
+    """(exit code, stdout, stderr) of one ``main`` call, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_answers_like_a_fresh_one(exp_model, tmp_path):
+    policies = tmp_path / "policies.csv"
+    policies.write_text("1, 0.1\n2, 0.05\n")
+    calls = [
+        ["tail", exp_model, "--t", "10", "--x", "1.5"],
+        ["ruin", exp_model, "--u", "1,5", "--record"],
+        ["ruin", exp_model],  # argparse error: --u is required
+        ["ruin-time", exp_model, "--u", "5", "--t", "1,2"],
+        ["seal", "--help"],
+        ["seal", exp_model, "--u", "1", "--t", "4", "--format", "csv"],
+        ["portfolio", str(policies), "--x", "1,2.5"],
+        ["tail", exp_model, "--t", "10", "--x", "0.5", "--span", "0.02"],
+    ]
+    cached = [run_all(argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run_all(argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0, 0, 0, 0]
+    assert all(out for _, out, _ in cached[3:])
+
+
 def test_worker_count_invariance(exp_model):
     base = ["ruin", exp_model, "--u", "2", "--mc", "--format", "csv", "--horizon", "60"]
     _, out1 = run(base + ["--workers", "1"])
@@ -422,6 +458,28 @@ def test_non_finite_flag_is_a_usage_error(exp_model, capsys, argv, flag):
     assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize("key", ["lambda", "premium_rate", "rate", "span", "initial_capital"])
+@pytest.mark.parametrize("argv", [["ruin", "--u", "1"], ["tail", "--t", "1", "--x", "1"]],
+                         ids=lambda argv: argv[0])
+def test_non_finite_model_number_is_a_parse_error(tmp_path, capsys, argv, key, value):
+    model = tmp_path / "bad.model"
+    model.write_text(re.sub(rf"^(\s*{key} =).*$", rf"\1 {value}", EXP_MODEL_TEXT, flags=re.M))
+    code, out = run([argv[0], str(model), *argv[1:]])
+    assert (code, out) == (2, "")
+    assert f"key '{key}': expected a finite number, got '{value}'" in capsys.readouterr().err
+
+
+def test_non_finite_list_entry_is_a_parse_error(tmp_path, capsys):
+    model = tmp_path / "bad.model"
+    model.write_text(EXP_MODEL_TEXT.replace(
+        "kind = exponential\n    rate = 1.0", "kind = mixture\n    weights = 0.5, 0.5\n"
+        "    rates = 1.0, inf"))
+    code, out = run(["ruin", str(model), "--u", "1"])
+    assert (code, out) == (2, "")
+    assert "key 'rates': expected a finite number, got 'inf'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "line, flags, key",
     [
@@ -452,6 +510,9 @@ def test_seal_discretizes_the_severity_once(exp_model, monkeypatch):
             monkeypatch.setattr(module, "discretize", counted)
     code, _ = run(["seal", exp_model, "--u", "2", "--t", "4", "--span", "0.01"])
     assert (code, spans) == (0, [0.01])
+    # at u = 0 the one-minus-non-ruin-zero row reuses the lattice seal built
+    code, _ = run(["seal", exp_model, "--u", "0", "--t", "8", "--span", "0.02"])
+    assert (code, spans) == (0, [0.01, 0.02])
 
 
 def test_exit_codes(exp_model, tmp_path):

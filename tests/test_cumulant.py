@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from collrisk import (
@@ -383,6 +385,20 @@ def test_portfolio_exact_tail_values():
     assert portfolio_exact_tail(ten, 2.5) == pytest.approx(
         float(stats.binom.sf(2, 10, 0.1)), rel=1e-10
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.7]), st.floats(0.001, 0.6)),
+             min_size=1, max_size=12),
+    st.lists(st.floats(-1.0, 40.0), max_size=10),
+)
+def test_portfolio_exact_tail_at_many_levels_is_one_call_per_level(rows, levels):
+    portfolio = Portfolio(tuple(Policy(x, p) for x, p in rows))
+    levels += [x for x, _ in rows]  # levels on the support, where the 1e-12 slack decides
+    tails = portfolio_exact_tail(portfolio, levels)
+    assert tails == [portfolio_exact_tail(portfolio, x) for x in levels]
+    assert not isinstance(portfolio_exact_tail(portfolio, levels[0]), list)  # one level, one value
 
 
 def test_portfolio_size_cap():

@@ -244,6 +244,48 @@ def test_discretize_truncation():
     assert forced.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(all_severities, st.floats(0.002, 0.5), st.integers(1, 4000))
+@example(Exponential(1.0), 0.01, 2304)
+@example(Gamma(2.5), 0.01, 4000)
+@example(MixtureOfExponentials((0.4, 0.6), (0.5, 2.0)), 0.01, 4000)
+@example(MixtureOfExponentials((0.1,) * 10, tuple(0.5 * k for k in range(1, 11))), 0.01, 3000)
+def test_array_survival_is_the_scalar_survival_bit_for_bit(model, d, n):
+    # the cell edges discretize evaluates
+    edges = np.arange(n + 1) * d
+    if model.lattice_span is not None:
+        edges += 1e-9 * d
+    scalar = np.array([model.sf(e) for e in edges])
+    assert model._sf_array(edges).tobytes() == scalar.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80), st.floats(0.05, 2.0), st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1))
+def test_lattice_transforms_match_per_call_arrays_bit_for_bit(n, span, frac, seed):
+    lat = Lattice(span, tuple(np.random.default_rng(seed).dirichlet(np.full(n, 0.5))))
+    # the arrays every transform once rebuilt from the masses tuple
+    f = np.asarray(lat.masses)
+    x = np.arange(1, f.size + 1) * span
+    xi = 3.0 * frac / (n * span)
+    assert lat.mgf(xi) == float(np.sum(f * np.exp(xi * x)))
+    assert lat.mgf_m1(xi) == float(np.sum(f * np.expm1(xi * x)))
+    assert lat.mgf_prime(xi) == float(np.sum(f * x * np.exp(xi * x)))
+    assert lat.mgf_second(xi) == float(np.sum(f * x**2 * np.exp(xi * x)))
+    for k in (1, 2, 3):
+        assert lat.moment(k) == float(np.sum(f * x**k))
+    for point in (0.0, span, 0.5 * n * span, n * span):
+        assert lat.sf(point) == float(np.sum(f[x > point]))
+    w = f * np.exp(xi * x)
+    w /= w.sum()
+    assert lat.tilt(xi).masses == tuple(w)
+    # one LatticeDistribution, and an alias table that carries the masses
+    assert lat.as_distribution() is lat.as_distribution()
+    assert lat.as_distribution().masses.tobytes() == np.concatenate([[0.0], f]).tobytes()
+    prob, alias = lat._alias
+    carried = prob + np.bincount(alias, weights=1.0 - prob, minlength=n)
+    assert np.allclose(carried, n * f, rtol=0.0, atol=1e-12 * n)
+
+
 @settings(max_examples=25, deadline=None)
 @given(all_severities, st.floats(0.05, 0.5))
 # atoms just above a rounded cell edge: 2*d and 3*0.3 round to below 1 and 0.9

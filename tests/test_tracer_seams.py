@@ -11,6 +11,8 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 MODULES = ("cli", "cumulant", "lattice", "montecarlo", "ruin", "severity")
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -53,3 +55,21 @@ def test_tracer_installs_and_restores_every_patched_name():
         assert after[key].keys() == names.keys(), key
         changed = [attr for attr, value in names.items() if after[key][attr] is not value]
         assert changed == [], key
+
+
+def test_main_builds_the_parser_through_the_traced_name():
+    lib = SimpleNamespace(**{m: importlib.import_module(f"collrisk.{m}") for m in MODULES})
+    lib.cli.build_parser.cache_clear()
+    tracer = _load_tracer().Tracer()
+    spans = []
+    try:
+        tracer.install(lib)
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                lib.cli.main(["ruin"])  # an argparse error: nothing but the parser runs
+            spans.append(tracer.calls["cli.parse"])
+    finally:
+        tracer.uninstall()
+    assert spans == [1, 2]  # one cli.parse span per call
+    info = lib.cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # built on the first call only
