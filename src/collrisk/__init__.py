@@ -41,7 +41,7 @@ from .errors import (
     TailError,
     UnderflowWarning,
 )
-from .lattice import CompoundGeometric, LatticeDistribution, compound_geometric, panjer
+from .lattice import LatticeDistribution, compound_geometric, panjer
 from .montecarlo import (
     EstimateWithError,
     RuinTimeStudy,

@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     RootBracketError,
 )
-from .lattice import panjer, steps_to, steps_within
+from .lattice import panjer, step_at, steps_to, steps_within
 from .ruin import (
     LundbergSolution,
     RiskSystem,
@@ -214,8 +214,8 @@ def _lattice_from_file(path: Path, span: float) -> Lattice:
         if len(parts) != 2:
             raise ParseError(f"{path}:{line_no}: expected two columns")
         point, mass = _parse_float("point", parts[0]), _parse_float("mass", parts[1])
-        idx = round(point / span)
-        if idx < 1 or abs(point - idx * span) > 1e-9 * max(1.0, point):
+        idx = step_at(point, span)
+        if idx is None or idx < 1:
             raise ParseError(
                 f"{path}:{line_no}: point {point} is not a positive multiple of span {span}"
             )
@@ -558,6 +558,8 @@ def _parse_policies(path: Path) -> Portfolio:
 
 
 def cmd_portfolio(args: argparse.Namespace) -> str:
+    if args.span is not None:
+        Controls(span=args.span)  # the span check of the model commands
     portfolio = _parse_policies(Path(args.policies))
     model = portfolio_to_compound(portfolio, span=args.span)
     severity: Lattice = model.severity
@@ -573,7 +575,7 @@ def cmd_portfolio(args: argparse.Namespace) -> str:
             rows.append(("atom", idx * severity.span, mass))
 
     if args.x:
-        n_out = max(int(math.ceil(max(args.x) / severity.span)) + 1, 1)
+        n_out = max(steps_to(max(args.x), severity.span) + 1, 1)
         agg = panjer(model.rate, lattice_masses(severity), n_out)
         for x, exact in zip(args.x, portfolio_exact_tail(portfolio, args.x)):
             rows.append(("tail", x, exact, agg.tail(steps_within(x, severity.span))))

@@ -22,6 +22,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, LatticeSeverityError, SizeError
+from .lattice import step_at, steps_to
 from .rootfind import expand_lower, expand_upper, safeguarded_newton
 from .severity import Lattice, SeverityModel
 
@@ -329,22 +330,16 @@ def _float_gcd(a: float, b: float, tol: float) -> float:
     return a
 
 
-def _infer_span(values: list[float]) -> float:
+def _infer_span(values: list[float]) -> tuple[float, list[int]]:
+    """The coarsest span with every value on its lattice, and each value's step count."""
     g = values[0]
     for v in values[1:]:
         g = _float_gcd(max(g, v), min(g, v), tol=1e-9 * max(values))
-    if g < 1e-6 * max(values):
-        raise DomainError(
-            "sums at risk share no usable common span; pass an explicit span"
-        )
-    # snap the span so every value is an exact multiple
-    n = [round(v / g) for v in values]
-    for v, m in zip(values, n):
-        if m < 1 or abs(v - m * g) > 1e-9 * max(1.0, v):
-            raise DomainError(
-                "sums at risk share no usable common span; pass an explicit span"
-            )
-    return g
+    if g >= 1e-6 * max(values):
+        steps = [step_at(v, g) for v in values]
+        if None not in steps and min(steps) >= 1:
+            return g, steps
+    raise DomainError("sums at risk share no usable common span; pass an explicit span")
 
 
 def portfolio_to_compound(portfolio: Portfolio, span: float | None = None) -> CompoundModel:
@@ -370,12 +365,11 @@ def portfolio_to_compound(portfolio: Portfolio, span: float | None = None) -> Co
     lam = sum(lam_i)
     xs = [pol.sum_at_risk for pol in portfolio]
     if span is None:
-        span = _infer_span(xs)
-        indices = [round(x / span) for x in xs]
+        span, indices = _infer_span(xs)
     else:
-        if not span > 0.0:
-            raise DomainError(f"span must be positive, got {span}")
-        indices = [max(1, math.ceil(x / span - 1e-12)) for x in xs]
+        if not 0.0 < span < math.inf:
+            raise DomainError(f"span must be positive and finite, got {span}")
+        indices = [max(1, steps_to(x, span)) for x in xs]
     masses = np.zeros(max(indices))
     for idx, li in zip(indices, lam_i):
         masses[idx - 1] += li / lam

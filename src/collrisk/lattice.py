@@ -35,14 +35,29 @@ def _tails_from_masses(masses: np.ndarray) -> np.ndarray:
     return np.subtract.accumulate(np.concatenate(([1.0], masses)))[1:]
 
 
+def step_at(x: float, span: float) -> int | None:
+    """The n with |x - n*span| <= 1e-9*max(1, |x|): x on the lattice up to rounding, else None."""
+    if not 0.0 < span < math.inf:
+        raise DomainError(f"span must be positive and finite, got {span}")
+    q = x / span
+    if not math.isfinite(q):
+        return None
+    n = round(q)
+    return n if abs(x - n * span) <= 1e-9 * max(1.0, abs(x)) else None
+
+
 def steps_to(x: float, span: float) -> int:
     """Fewest steps n with n*span >= x; an x/span up to 1e-9 above an integer counts as it."""
     return int(math.ceil(x / span - 1e-9))
 
 
-def steps_within(x: float, span: float) -> int:
-    """Most steps n with n*span <= x; an x/span up to 1e-9 below an integer counts as it."""
-    return int(math.floor(x / span + 1e-9))
+def steps_within(x: float | np.ndarray, span: float) -> int | np.ndarray:
+    """Most steps n with n*span <= x; an x/span up to 1e-9 below an integer counts as it.
+
+    An array ``x`` gives an integer array of the same counts.
+    """
+    q = x / span + 1e-9
+    return np.floor(q).astype(int) if isinstance(q, np.ndarray) else int(math.floor(q))
 
 
 @dataclass(frozen=True)
@@ -135,8 +150,11 @@ class LatticeDistribution:
             if len(parts) != 2:
                 raise ParseError(f"expected two columns, got: {ln}")
             point, mass = float(parts[0]), float(parts[1])
-            index = int(round(point / span))
-            if index != i or abs(point - index * span) > 1e-9 * max(1.0, abs(point)):
+            try:
+                index = step_at(point, span)
+            except DomainError as exc:
+                raise ParseError(f"bad lattice header: {exc}") from exc
+            if index != i:
                 raise ParseError(f"point {point} is not lattice index {i} of span {span}")
             masses.append(mass)
         dist = cls(span, np.asarray(masses))
@@ -258,22 +276,9 @@ def panjer(rate: float, severity: LatticeDistribution, n_out: int) -> LatticeDis
     return LatticeDistribution(severity.span, masses, rescales)
 
 
-@dataclass(frozen=True)
-class CompoundGeometric:
-    """Result of the compound-geometric recursion.
-
-    ``dist`` carries the masses l_0..l_{n_out}; ``upper`` is the running
-    tail sequence r_n = sum_{m >= n} l_m for n = 0..n_out+1: one, then the
-    tails of ``dist``.
-    """
-
-    dist: LatticeDistribution
-    upper: np.ndarray
-
-
 def compound_geometric(
     r: float, ladder: LatticeDistribution, n_out: int
-) -> CompoundGeometric:
+) -> LatticeDistribution:
     """Masses of a geometric number of ladder-height summands.
 
     Solves the renewal equation l = (1-r)*delta + r*(k (*) l) on the
@@ -285,7 +290,4 @@ def compound_geometric(
         raise DomainError(f"n_out must be >= 1, got {n_out}")
     k = _checked_severity(ladder, "ladder-height")
     masses, rescales = _recurse(k, np.full(n_out, r), 1.0 - r, 0.0)
-    dist = LatticeDistribution(ladder.span, masses, rescales)
-    upper = np.maximum(np.concatenate(([1.0], dist.tails)), 0.0)
-    upper.setflags(write=False)
-    return CompoundGeometric(dist, upper)
+    return LatticeDistribution(ladder.span, masses, rescales)

@@ -26,7 +26,7 @@ from .errors import (
     RootBracketError,
 )
 from .lattice import LatticeDistribution, _checked_severity, compound_geometric, panjer
-from .lattice import steps_to, steps_within
+from .lattice import step_at, steps_to, steps_within
 from .rootfind import expand_lower, expand_upper, safeguarded_newton
 from .severity import SeverityModel, discretize_ladder, lattice_masses
 from .severity import discretize  # noqa: F401  (bench/tracer.py patches this name here)
@@ -118,30 +118,29 @@ def ladder(system: RiskSystem) -> LadderLaw:
 class RuinCurve:
     """Ruin probabilities on a money lattice.
 
-    ``upper[n]`` is the probability that the all-time maximum of the
-    discretized net loss reaches at least n lattice steps; ``value(u)``
-    reads off P(max > u). At u = 0 this excludes the atom of the
-    compound-geometric law at zero and equals r exactly.
+    ``dist`` is the compound-geometric law of the all-time maximum of the
+    discretized net loss; ``value(u)`` reads off P(max > u) from its
+    tails, clipped at zero. At u = 0 this excludes the atom at zero and
+    equals r exactly.
     """
 
-    span: float
-    upper: np.ndarray
+    dist: LatticeDistribution
 
     def value(self, u: float) -> float:
         if u < 0.0:
             raise DomainError(f"capital must be nonnegative, got {u}")
-        idx = steps_within(u, self.span) + 1
-        if idx >= self.upper.size:
+        idx = steps_within(u, self.dist.span)
+        if idx >= self.dist.size:
             raise DomainError(f"capital {u} beyond the computed grid")
-        return float(self.upper[idx])
+        return max(0.0, float(self.dist.tails[idx]))
 
     @property
     def grid(self) -> np.ndarray:
-        return np.arange(self.upper.size - 1) * self.span
+        return np.arange(self.dist.size) * self.dist.span
 
     @property
     def values(self) -> np.ndarray:
-        return self.upper[1:]
+        return np.maximum(self.dist.tails, 0.0)
 
 
 def ruin_panjer(system: RiskSystem, d: float, u_max: float) -> RuinCurve:
@@ -159,8 +158,7 @@ def ruin_panjer(system: RiskSystem, d: float, u_max: float) -> RuinCurve:
     law = ladder(system)
     k = discretize_ladder(law.severity, d)
     n_out = steps_to(u_max, d) + 1
-    cg = compound_geometric(law.upcross_probability, k, n_out)
-    return RuinCurve(d, cg.upper)
+    return RuinCurve(compound_geometric(law.upcross_probability, k, n_out))
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +459,9 @@ def seal(system: RiskSystem, t: float, d: float | None = None) -> SealDecomposit
         raise GridError(
             f"span {span} does not resolve the premium income {ct} (need >= 10 cells)"
         )
-    j = u / span
-    if abs(j - round(j)) > 1e-9 * max(1.0, j):
+    j = step_at(u, span)
+    if j is None:
         raise GridError(f"initial capital {u} is not a multiple of the span {span}")
-    j = int(round(j))
 
     top = steps_within(u + ct, span)
     beyond = panjer(lam * t, sev_dist, max(top, 1)).tail(top)
@@ -472,7 +469,7 @@ def seal(system: RiskSystem, t: float, d: float | None = None) -> SealDecomposit
     m = np.arange(j + 1, top + 1)
     s = (m * span - u) / c  # crossing times; the ballot weights use c*(t - s)
     remaining = np.maximum(t - s, 0.0)
-    n = np.floor(c * remaining / span + 1e-9).astype(int)  # steps_within per level
+    n = steps_within(c * remaining, span)
     a = np.divide(span, c * remaining, out=np.zeros(m.size), where=remaining > 0.0)
     n -= n * a >= 1.0  # a last point on the premium line has weight 0
     crossings = _crossing_sum(sev_dist, m, lam * s, np.ones(m.size), (lam * remaining, n, a))[0]

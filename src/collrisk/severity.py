@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, GridError, TailError
-from .lattice import LatticeDistribution
+from .lattice import LatticeDistribution, steps_to
 
 _WEIGHT_TOL = 1e-12
 TAIL_TOL = 1e-10  # tail mass a discretization may cut off beyond its last cell
@@ -412,7 +412,7 @@ class Lattice(SeverityModel):
         return self.span
 
     def coverage_cells(self, d: float) -> int:
-        n = max(1, math.ceil(len(self.masses) * self.span / d - 1e-12))
+        n = max(1, steps_to(len(self.masses) * self.span, d))
         return n if self.sf(n * d) <= TAIL_TOL else n + 1  # n*d rounded below the top
 
     def as_distribution(self) -> LatticeDistribution:

@@ -143,6 +143,18 @@ def test_parse_lattice_file_errors(tmp_path):
         parse_model_text(text.replace("bad.txt", "short.txt"), tmp_path)
 
 
+@pytest.mark.parametrize("span", ["0", "-0.5"])
+def test_nonpositive_lattice_span_is_a_parse_error(tmp_path, capsys, span):
+    (tmp_path / "lat.txt").write_text("1.0 1.0\n")
+    model = tmp_path / "z.model"
+    model.write_text(
+        "lambda = 1\npremium_rate = 2\nseverity {\nkind = lattice\n"
+        f"span = {span}\nfile = lat.txt\n}}\n"
+    )
+    assert run(["ruin", str(model), "--u", "1"]) == (2, "")
+    assert f"span must be positive and finite, got {float(span)}" in capsys.readouterr().err
+
+
 def test_parse_model_file_missing():
     with pytest.raises(ParseError):
         parse_model_file("/no/such/file.model")
@@ -411,17 +423,21 @@ def test_flag_overrides_file(exp_model):
     assert value == pytest.approx(0.8 * math.exp(-1.0), rel=0.005)
 
 
-_SPAN_COMMANDS = pytest.mark.parametrize(
-    "argv",
-    [["tail", "--t", "2", "--x", "1.5"], ["ruin", "--u", "1"], ["seal", "--u", "1", "--t", "4"]],
-    ids=lambda argv: argv[0],
-)
+_MODEL_SPAN_ARGV = [
+    ["tail", "--t", "2", "--x", "1.5"], ["ruin", "--u", "1"], ["seal", "--u", "1", "--t", "4"]
+]
+_SPAN_COMMANDS = pytest.mark.parametrize("argv", _MODEL_SPAN_ARGV, ids=lambda argv: argv[0])
 
 
 @pytest.mark.parametrize("span", ["0", "-0.01", "inf"])
-@_SPAN_COMMANDS
-def test_nonpositive_span_flag_is_a_parse_error(exp_model, capsys, argv, span):
-    code, out = run([argv[0], exp_model, *argv[1:], "--span", span])
+@pytest.mark.parametrize(
+    "argv", [*_MODEL_SPAN_ARGV, ["portfolio", "--x", "1,3"]], ids=lambda argv: argv[0]
+)
+def test_nonpositive_span_flag_is_a_parse_error(exp_model, tmp_path, capsys, argv, span):
+    policies = tmp_path / "pol.csv"
+    policies.write_text("1.0, 0.1\n2.5, 0.2\n")
+    path = policies if argv[0] == "portfolio" else exp_model
+    code, out = run([argv[0], str(path), *argv[1:], "--span", span])
     assert (code, out) == (2, "")
     problem = "finite" if span == "inf" else "positive"
     assert f"span must be {problem}, got {float(span)}" in capsys.readouterr().err

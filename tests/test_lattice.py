@@ -1,10 +1,13 @@
 """Lattice recursions against brute-force convolution oracles."""
 
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -18,7 +21,7 @@ from collrisk import (
     discretize,
     panjer,
 )
-from collrisk.lattice import _recurse
+from collrisk.lattice import _recurse, step_at, steps_within
 
 
 def convolution_mixture(rate, f, n_out, n_terms=40):
@@ -64,6 +67,10 @@ def cell_rule(coef, steps, seed, log_seed):
         if work[n] > 1e280:
             work[: n + 1] *= math.exp(-600.0)
             log_scale += 600.0
+    # converted as the kernel converts: exp(log w + log_scale) costs about
+    # |ln w| ulps, so it is taken only where exp(log_scale) underflows
+    if log_scale > -700.0:
+        return work * math.exp(log_scale)
     with np.errstate(divide="ignore"):
         return np.exp(np.log(work) + log_scale)
 
@@ -176,12 +183,12 @@ def test_compound_geometric_geometric_ladder():
     k[1:] = (1 - p) * p ** np.arange(n)
     k[-1] += p**n  # fold the geometric tail so masses sum to one
     cg = compound_geometric(r, lattice(1.0, k), 10)
-    assert cg.dist.masses[0] == pytest.approx(0.5, abs=1e-15)
-    assert cg.dist.masses[1] == pytest.approx(0.125, rel=1e-12)
-    assert cg.dist.masses[2] == pytest.approx(0.09375, rel=1e-12)
+    assert cg.masses[0] == pytest.approx(0.5, abs=1e-15)
+    assert cg.masses[1] == pytest.approx(0.125, rel=1e-12)
+    assert cg.masses[2] == pytest.approx(0.09375, rel=1e-12)
     q = p + r * (1 - p)
     for m in range(1, 9):
-        assert cg.dist.masses[m] == pytest.approx(
+        assert cg.masses[m] == pytest.approx(
             (1 - r) * r * (1 - p) * q ** (m - 1), rel=1e-10
         )
 
@@ -189,8 +196,8 @@ def test_compound_geometric_geometric_ladder():
 def test_compound_geometric_vanishing_upcrossing():
     k = lattice(1.0, [0.0, 0.6, 0.4])
     cg = compound_geometric(1e-8, k, 5)
-    assert cg.dist.masses[0] == pytest.approx(1.0, abs=2e-8)
-    assert cg.dist.masses[1] == pytest.approx(1e-8 * 0.6, rel=1e-6)
+    assert cg.masses[0] == pytest.approx(1.0, abs=2e-8)
+    assert cg.masses[1] == pytest.approx(1e-8 * 0.6, rel=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -205,21 +212,21 @@ def test_compound_geometric_matches_series(r, k):
     n_out = 60
     cg = compound_geometric(r, lattice(1.0, k), n_out)
     oracle = geometric_series(r, np.asarray(k), n_out)
-    assert 0.5 * np.abs(cg.dist.masses - oracle).sum() <= 1e-10
+    assert 0.5 * np.abs(cg.masses - oracle).sum() <= 1e-10
 
 
 def test_compound_geometric_upper_tails():
     cg = compound_geometric(0.6, lattice(1.0, [0.0, 0.5, 0.5]), 100)
-    l = cg.dist.masses
-    assert cg.upper[0] == 1.0
+    l = cg.masses
+    assert cg.survival_from(0) == 1.0
     for n in range(1, 100):
-        assert cg.upper[n] == pytest.approx(1.0 - l[:n].sum(), abs=1e-13)
+        assert cg.survival_from(n) == pytest.approx(1.0 - l[:n].sum(), abs=1e-13)
     # mass accumulates to one for finite-support ladders
     partial = np.cumsum(l)
     assert np.all(np.diff(partial) >= 0)
     assert partial[40] < partial[80] < partial[100]
     assert l.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(np.diff(cg.upper) <= 1e-15)
+    assert np.all(np.diff(np.concatenate(([1.0], cg.tails))) <= 1e-15)
 
 
 def test_compound_geometric_domain():
@@ -252,6 +259,9 @@ def check_kernel(n_coef, n_out, panjer_shape, rate, r, sparsity, seed):
 
 
 @settings(max_examples=80, deadline=None)
+# the cell rule's old exp(log w) conversion was 1.04e-13 off the exact values here
+@example(n_coef=1, n_out=122, panjer_shape=True, rate=0.6646178628241777, r=0.5,
+         sparsity=0.0, seed=0)
 @given(
     n_coef=st.integers(1, 299),
     n_out=st.integers(1, 400),
@@ -289,7 +299,7 @@ def test_panjer_bench_shape_matches_cell_rule(bench_severity):
 def test_compound_geometric_bench_shape_matches_cell_rule(bench_severity):
     r, n_out = 0.8, 25_000
     reference = cell_rule(bench_severity.masses, np.full(n_out, r), 1.0 - r, 0.0)
-    masses = compound_geometric(r, bench_severity, n_out).dist.masses
+    masses = compound_geometric(r, bench_severity, n_out).masses
     assert masses.size == 25_001
     assert_matches_cell_rule(masses, reference, 1e-13)
 
@@ -311,7 +321,7 @@ def test_panjer_scaled_point_mass_keeps_every_block_finite():
 def test_no_rescale_while_the_seed_is_representable():
     for rate in (1.0, 50.0, 600.0):
         assert panjer(rate, lattice(1.0, [0.0, 0.5, 0.5]), 2000).rescales == 0
-    assert compound_geometric(0.8, lattice(1.0, [0.0, 0.5, 0.5]), 5000).dist.rescales == 0
+    assert compound_geometric(0.8, lattice(1.0, [0.0, 0.5, 0.5]), 5000).rescales == 0
     assert lattice(1.0, [0.5, 0.5]).rescales == 0
 
 
@@ -334,6 +344,9 @@ def test_text_round_trip_bit_exact():
 def test_text_parse_errors():
     with pytest.raises(ParseError):
         LatticeDistribution.from_text("0 0.5\n1 0.5\n")
+    for span in ("0", "-0.5", "inf"):
+        with pytest.raises(ParseError, match="span must be positive and finite"):
+            LatticeDistribution.from_text(f"# lattice span={span} remainder=0.0\n0 1\n")
     good = LatticeDistribution(1.0, np.array([0.5, 0.5])).to_text()
     with pytest.raises(ParseError):
         LatticeDistribution.from_text(good.replace("remainder=0.0", "remainder=0.5"))
@@ -348,3 +361,79 @@ def test_lattice_distribution_validation():
         LatticeDistribution(1.0, np.array([0.7, 0.7]))
     with pytest.raises(DomainError):
         LatticeDistribution(1.0, np.array([-0.1, 0.5]))
+
+
+# ---------------------------------------------------------------------------
+# amounts to lattice cells
+# ---------------------------------------------------------------------------
+
+
+@given(n=st.integers(0, 10**6), span=st.floats(1e-3, 10.0))
+def test_step_at_finds_every_lattice_point(n, span):
+    assert step_at(n * span, span) == n
+
+
+@given(n=st.integers(0, 10**6), span=st.floats(1e-3, 10.0))
+def test_step_at_rejects_half_cells(n, span):
+    assert step_at((n + 0.5) * span, span) is None
+
+
+def test_step_at_tolerance_and_domain():
+    assert step_at(0.9, 0.3) == 3  # 3 * 0.3 rounds to 0.8999999999999999
+    assert step_at(1e6 + 5e-4, 1.0) == 1_000_000  # 1e-9 of the amount, not of a cell
+    assert step_at(0.5 + 2e-9, 0.5) is None
+    for x in (math.inf, -math.inf, math.nan):
+        assert step_at(x, 0.5) is None
+    for span in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="span must be positive and finite"):
+            step_at(1.0, span)
+
+
+def test_steps_within_array_matches_scalar():
+    x = np.array([0.0, 0.3, 0.7, 1.1, 2.9999999999, 5.0])
+    counts = steps_within(x, 0.1)
+    assert counts.dtype.kind == "i"
+    assert counts.tolist() == [steps_within(float(v), 0.1) for v in x]
+
+
+# the only functions outside lattice.py that may round an amount: each
+# rounds to a grid of its own, not to a lattice cell
+_ROUNDING_ALLOWED = {
+    "portfolio_exact_tail",  # its 1e-9 money grid
+    "suggest_truncation",  # the search bracket of a bound
+    "Exponential.coverage_cells",  # closed-form cell counts
+    "Gamma.coverage_cells",
+}
+
+
+def _functions_by_line(tree):
+    """Map each line to the dotted name of the innermost function around it."""
+    owner = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef):
+                    for line in range(child.lineno, child.end_lineno + 1):
+                        owner[line] = name
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return owner
+
+
+def test_only_lattice_py_maps_amounts_to_cells():
+    src = Path(__file__).resolve().parents[1] / "src" / "collrisk"
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        text = path.read_text()
+        owner = _functions_by_line(ast.parse(text))
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            if re.search(r"(round|ceil|floor)\(", line):
+                found[owner.get(line_no, "<module>")] = f"{path.name}:{line_no}"
+    assert {name: at for name, at in found.items() if name not in _ROUNDING_ALLOWED} == {}

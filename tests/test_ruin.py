@@ -23,8 +23,10 @@ from collrisk import (
     RiskSystem,
     RootBracketError,
     composite_split,
+    compound_geometric,
     cramer_lundberg_approx,
     discretize,
+    discretize_ladder,
     finite_time_bound,
     hitting_below,
     ladder,
@@ -109,6 +111,16 @@ def test_ruin_panjer_grid_indexing():
     n = int(round(5.0 / 0.01))
     assert curve.value(5.0) == curve.values[n]
     assert curve.grid[n] == pytest.approx(5.0, rel=1e-12)
+
+
+def test_ruin_panjer_reads_the_compound_geometric_tails():
+    curve = ruin_panjer(EXP_SYS, 0.01, 250.0)
+    dist = compound_geometric(0.8, discretize_ladder(Exponential(1.0), 0.01), 25_001)
+    assert np.array_equal(curve.values, np.maximum(dist.tails, 0.0))
+    assert np.array_equal(curve.grid, np.arange(25_002) * 0.01)
+    assert curve.value(250.0) == curve.values[25_000]
+    with pytest.raises(DomainError, match="beyond the computed grid"):
+        curve.value(250.02)
 
 
 def test_ruin_panjer_loading_error():
