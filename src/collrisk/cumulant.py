@@ -276,8 +276,10 @@ class Policy:
     loss_probability: float
 
     def __post_init__(self):
-        if not self.sum_at_risk > 0.0:
-            raise DomainError(f"sum at risk must be positive, got {self.sum_at_risk}")
+        if not 0.0 < self.sum_at_risk < math.inf:
+            raise DomainError(
+                f"sum at risk must be positive and finite, got {self.sum_at_risk}"
+            )
         if not 0.0 < self.loss_probability < 1.0:
             raise DomainError(
                 f"loss probability must lie in (0, 1), got {self.loss_probability}"

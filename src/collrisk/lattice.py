@@ -149,7 +149,10 @@ class LatticeDistribution:
             parts = ln.split()
             if len(parts) != 2:
                 raise ParseError(f"expected two columns, got: {ln}")
-            point, mass = float(parts[0]), float(parts[1])
+            try:
+                point, mass = float(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise ParseError(f"bad lattice row {i + 1}: {ln}") from exc
             try:
                 index = step_at(point, span)
             except DomainError as exc:

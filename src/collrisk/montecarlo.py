@@ -140,9 +140,11 @@ def _draw_chunk(
     """Counts, segment starts, sorted arrival times and claim sizes for one chunk.
 
     Arrival times use the exponential-spacings representation of uniform
-    order statistics, so no sort is needed and the draw schedule is fixed:
-    one Poisson count per path, one uniform per gap (inner and final), and
-    the severity sampler's fixed schedule per event.
+    order statistics, so no sort is needed: one Poisson count per path and
+    one uniform per gap (inner and final). The severity sampler runs last
+    in the chunk's own stream, so a sampler whose draws per claim vary
+    (Gamma's rejection sampler) leaves every other draw where it was and
+    the chunk stays reproducible.
     """
     counts = rng.poisson(lam * horizon, n_paths)
     total = int(counts.sum())

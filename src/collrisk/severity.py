@@ -94,7 +94,8 @@ class SeverityModel:
         return None
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n independent claim sizes, with a fixed draw schedule per claim."""
+        """n independent claim sizes from ``rng``; the raw draws per claim may
+        vary (Gamma is a rejection sampler), so Monte Carlo draws claims last."""
         raise NotImplementedError
 
     def coverage_cells(self, d: float) -> int:
@@ -218,7 +219,7 @@ class Gamma(SeverityModel):
         return Gamma(self.shape, self.scale / (1.0 - self.scale * a))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return special.gammaincinv(self.shape, rng.random(n)) * self.scale
+        return rng.standard_gamma(self.shape, n) * self.scale
 
     def coverage_cells(self, d: float) -> int:
         x_star = float(special.gammainccinv(self.shape, TAIL_TOL)) * self.scale

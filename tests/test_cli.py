@@ -363,6 +363,15 @@ def test_portfolio_bad_file(tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("span_args", [[], ["--span", "0.5"]], ids=["inferred", "given"])
+def test_portfolio_infinite_sum_at_risk_is_a_parse_error(tmp_path, capsys, span_args):
+    policies = tmp_path / "pol.csv"
+    policies.write_text("inf, 0.1\n")
+    code, out = run(["portfolio", str(policies), "--x", "1", *span_args])
+    assert (code, out) == (2, "")
+    assert "sum at risk must be positive and finite, got inf" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # output discipline
 # ---------------------------------------------------------------------------

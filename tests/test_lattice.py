@@ -352,6 +352,8 @@ def test_text_parse_errors():
         LatticeDistribution.from_text(good.replace("remainder=0.0", "remainder=0.5"))
     with pytest.raises(ParseError):
         LatticeDistribution.from_text("# lattice span=1.0 remainder=0.0\n0 0.5 9\n")
+    with pytest.raises(ParseError, match="bad lattice row 1: zero 1"):
+        LatticeDistribution.from_text("# lattice span=1.0 remainder=0.0\nzero 1\n")
 
 
 def test_lattice_distribution_validation():
