@@ -514,10 +514,8 @@ def cmd_seal(spec: ModelSpec, args: argparse.Namespace) -> str:
     sev = system.model.severity
     # exact lattice masses fix the span; every other law, a point mass too, is discretized
     span = controls.span if sev.as_distribution() is None else sev.lattice_span
-    ct = system.premium_rate * t
-    # seal recurses to the last level below u + c*t; at u = 0 the check covers c*t
-    needed = steps_to(ct, span) if u == 0.0 else steps_within(u + ct, span)
-    _check_lattice_budget(controls, needed)
+    # seal's aggregate recursion runs to the first cell at or above u + c*t
+    _check_lattice_budget(controls, steps_to(u + system.premium_rate * t, span))
     result = seal(system, t, d=span)
     rows: list[tuple] = [
         ("seal", u, t, result.value, None),
@@ -525,9 +523,8 @@ def cmd_seal(spec: ModelSpec, args: argparse.Namespace) -> str:
         ("seal-crossings", u, t, result.crossings, None),
     ]
     if u == 0.0:
-        # seal has checked needed >= 10
-        agg = panjer(system.model.rate * t, result.severity, needed)
-        rows.append(("one-minus-non-ruin-zero", 0.0, t, 1.0 - non_ruin_zero(system, t, agg), None))
+        non_ruin = non_ruin_zero(system, t, result.aggregate)
+        rows.append(("one-minus-non-ruin-zero", 0.0, t, 1.0 - non_ruin, None))
 
     if args.mc:
         plan = _plan(system, controls, t, args.workers, ruin_levels=(u,))

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, LatticeSeverityError, SizeError
-from .lattice import step_at, steps_to
+from .lattice import MAX_CELLS, check_span, first_step, step_at, steps_to
 from .rootfind import expand_lower, expand_upper, safeguarded_newton
 from .severity import Lattice, SeverityModel
 
@@ -369,9 +369,7 @@ def portfolio_to_compound(portfolio: Portfolio, span: float | None = None) -> Co
     if span is None:
         span, indices = _infer_span(xs)
     else:
-        if not 0.0 < span < math.inf:
-            raise DomainError(f"span must be positive and finite, got {span}")
-        indices = [max(1, steps_to(x, span)) for x in xs]
+        indices = [max(1, steps_to(x, check_span(span))) for x in xs]
     masses = np.zeros(max(indices))
     for idx, li in zip(indices, lam_i):
         masses[idx - 1] += li / lam
@@ -415,27 +413,20 @@ def portfolio_exact_tail(portfolio: Portfolio, x: float | list[float]) -> float 
 def suggest_truncation(
     model: CompoundModel, t: float, d: float, tol: float = 1e-12
 ) -> int:
-    """Smallest lattice index n with exp(-t*h(n*d/t)) below ``tol``.
+    """Smallest lattice index n past the mean with exp(-t*h(n*d/t)) below ``tol``.
 
     Ties the exponential tail bound to the recursion truncation point: mass
-    beyond the suggested index is provably below ``tol``.
+    beyond the suggested index is provably below ``tol``. The search
+    (``lattice.first_step``) starts at ``steps_to(t*mean_rate, d)``; no such
+    index up to ``lattice.MAX_CELLS`` is a DomainError.
     """
     if not (t > 0.0 and d > 0.0):
         raise DomainError("horizon and span must be positive")
 
-    def bound(n: int) -> float:
-        return math.exp(-t * entropy(model, n * d / t).h)
+    def below(n: int) -> bool:
+        return math.exp(-t * entropy(model, n * d / t).h) < tol
 
-    lo = max(1, math.ceil(t * model.mean_rate / d))
-    hi = max(2 * lo, lo + 1)
-    while bound(hi) >= tol:
-        lo, hi = hi, 2 * hi
-        if hi > 10**9:
-            raise DomainError("no truncation point below tolerance within 1e9 cells")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bound(mid) >= tol:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    n = first_step(below, steps_to(t * model.mean_rate, d))
+    if n is None:
+        raise DomainError(f"no truncation point below tolerance within {MAX_CELLS} cells")
+    return n

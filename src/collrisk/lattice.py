@@ -14,11 +14,12 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
 
-from .errors import DomainError, ParseError, UnderflowWarning
+from .errors import DomainError, GridError, ParseError, UnderflowWarning
 
 logger = logging.getLogger(__name__)
 
@@ -28,6 +29,7 @@ _RESCALE_AT = 1e280
 _RESCALE_LOG = 600.0
 # cells per block of the recursion: one correlation and one triangular solve each
 _BLOCK = 64
+MAX_CELLS = 10**7  # most cells past the origin that any lattice array may hold
 
 
 def _tails_from_masses(masses: np.ndarray) -> np.ndarray:
@@ -35,11 +37,46 @@ def _tails_from_masses(masses: np.ndarray) -> np.ndarray:
     return np.subtract.accumulate(np.concatenate(([1.0], masses)))[1:]
 
 
-def step_at(x: float, span: float) -> int | None:
-    """The n with |x - n*span| <= 1e-9*max(1, |x|): x on the lattice up to rounding, else None."""
+def check_span(span: float) -> float:
+    """``span`` back, after checking that it is positive and finite."""
     if not 0.0 < span < math.inf:
         raise DomainError(f"span must be positive and finite, got {span}")
-    q = x / span
+    return span
+
+
+def check_cells(n: int) -> int:
+    """``n`` back, after checking 1 <= n <= MAX_CELLS for the cells a recursion is to fill."""
+    if n < 1:
+        raise DomainError(f"n_out must be >= 1, got {n}")
+    if n > MAX_CELLS:
+        raise GridError(f"{n} lattice cells exceed the cap of {MAX_CELLS} cells")
+    return n
+
+
+def first_step(holds: Callable[[int], bool], start: int = 0) -> int | None:
+    """Smallest n > start with ``holds(n)``, or None when there is none up to MAX_CELLS.
+
+    ``holds`` must stay true once it is. The search doubles n until
+    ``holds(n)`` (the last try is MAX_CELLS itself), then bisects; it asks
+    ``holds`` once per n.
+    """
+    lo, hi = start, min(max(2 * start, start + 1), MAX_CELLS)
+    while lo < hi and not holds(hi):
+        lo, hi = hi, min(2 * hi, MAX_CELLS)
+    if lo >= hi:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def step_at(x: float, span: float) -> int | None:
+    """The n with |x - n*span| <= 1e-9*max(1, |x|): x on the lattice up to rounding, else None."""
+    q = x / check_span(span)
     if not math.isfinite(q):
         return None
     n = round(q)
@@ -77,8 +114,7 @@ class LatticeDistribution:
     tails: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.span > 0.0:
-            raise DomainError(f"span must be positive, got {self.span}")
+        check_span(self.span)
         masses = np.asarray(self.masses, dtype=float)
         if masses.ndim != 1 or masses.size == 0:
             raise DomainError("masses must be a nonempty 1-D array")
@@ -265,8 +301,7 @@ def panjer(rate: float, severity: LatticeDistribution, n_out: int) -> LatticeDis
     """
     if not rate > 0.0:
         raise DomainError(f"rate must be positive, got {rate}")
-    if n_out < 1:
-        raise DomainError(f"n_out must be >= 1, got {n_out}")
+    check_cells(n_out)
     f = _checked_severity(severity, "severity")
     if rate > 700.0:
         warnings.warn(
@@ -289,8 +324,7 @@ def compound_geometric(
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"upcrossing probability must lie in (0, 1), got {r}")
-    if n_out < 1:
-        raise DomainError(f"n_out must be >= 1, got {n_out}")
+    check_cells(n_out)
     k = _checked_severity(ladder, "ladder-height")
     masses, rescales = _recurse(k, np.full(n_out, r), 1.0 - r, 0.0)
     return LatticeDistribution(ladder.span, masses, rescales)

@@ -63,7 +63,8 @@ def expand_upper(f: Callable[[float], float], start: float, limit: float) -> flo
     """Return ``hi > start`` with ``f(hi) > 0``, approaching ``limit`` geometrically.
 
     ``limit`` may be ``inf``, in which case ``hi`` doubles outward. Returns
-    ``nan`` if no sign change is found within ``_MAX_STEPS`` steps.
+    ``nan`` if no sign change is found within ``_MAX_STEPS`` steps or once
+    the next step rounds to a finite ``limit``, where ``f`` is never called.
     """
     hi = start
     for _ in range(_MAX_STEPS):
@@ -71,6 +72,8 @@ def expand_upper(f: Callable[[float], float], start: float, limit: float) -> flo
             hi = hi * 2.0 if hi > 0 else 1.0
         else:
             hi = limit - 0.5 * (limit - hi)
+            if hi == limit:
+                break
         if f(hi) > 0.0:
             return hi
     return float("nan")

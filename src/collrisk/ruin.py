@@ -26,7 +26,7 @@ from .errors import (
     RootBracketError,
 )
 from .lattice import LatticeDistribution, _checked_severity, compound_geometric, panjer
-from .lattice import step_at, steps_to, steps_within
+from .lattice import check_cells, check_span, step_at, steps_to, steps_within
 from .rootfind import expand_lower, expand_upper, safeguarded_newton
 from .severity import SeverityModel, discretize_ladder, lattice_masses
 from .severity import discretize  # noqa: F401  (bench/tracer.py patches this name here)
@@ -151,12 +151,10 @@ def ruin_panjer(system: RiskSystem, d: float, u_max: float) -> RuinCurve:
     starts at r, and carries the right-endpoint discretization's upward
     bias (conservative for solvency purposes).
     """
-    if not d > 0.0:
-        raise DomainError(f"span must be positive, got {d}")
     if not u_max > 0.0:
         raise DomainError(f"u_max must be positive, got {u_max}")
     law = ladder(system)
-    k = discretize_ladder(law.severity, d)
+    k = discretize_ladder(law.severity, check_span(d))
     n_out = steps_to(u_max, d) + 1
     return RuinCurve(compound_geometric(law.upcross_probability, k, n_out))
 
@@ -398,7 +396,7 @@ def _crossing_sum(severity: LatticeDistribution, levels: np.ndarray, means: np.n
     mu_star = float(max(means.max(initial=0.0), nu.max(initial=0.0)))
     f = _checked_severity(severity, "severity")[: top + 1]
     exact_at = top // np.flatnonzero(f)[0] if f.any() else 0
-    cells = np.arange(top + 1)
+    cells = np.arange(check_cells(top + 1))
     fk = (cells == 0).astype(float)
     mass = np.zeros(levels.size)
     surv = 1.0 if survival is None else np.zeros(levels.size)
@@ -423,14 +421,16 @@ class SealDecomposition:
 
     ``beyond`` is the probability that the net loss at the horizon already
     exceeds the capital; ``crossings`` collects the last-downcrossing sum
-    over lattice levels. Both come from the claim-size masses ``severity``.
+    over lattice levels. ``aggregate`` holds the aggregate masses at the
+    horizon up to the first cell at or above u + c*t, from which ``beyond``
+    is read.
     """
 
     value: float
     beyond: float
     crossings: float
     span: float
-    severity: LatticeDistribution = field(repr=False, compare=False)
+    aggregate: LatticeDistribution = field(repr=False, compare=False)
 
 
 def seal(system: RiskSystem, t: float, d: float | None = None) -> SealDecomposition:
@@ -464,7 +464,8 @@ def seal(system: RiskSystem, t: float, d: float | None = None) -> SealDecomposit
         raise GridError(f"initial capital {u} is not a multiple of the span {span}")
 
     top = steps_within(u + ct, span)
-    beyond = panjer(lam * t, sev_dist, max(top, 1)).tail(top)
+    aggregate = panjer(lam * t, sev_dist, steps_to(u + ct, span))
+    beyond = aggregate.tail(top)
 
     m = np.arange(j + 1, top + 1)
     s = (m * span - u) / c  # crossing times; the ballot weights use c*(t - s)
@@ -476,7 +477,7 @@ def seal(system: RiskSystem, t: float, d: float | None = None) -> SealDecomposit
     value = beyond + crossings
     if value > 1.0 + 1e-9:
         raise DomainError(f"finite-time ruin probability {value} exceeds one")
-    return SealDecomposition(min(max(value, 0.0), 1.0), beyond, crossings, span, sev_dist)
+    return SealDecomposition(min(max(value, 0.0), 1.0), beyond, crossings, span, aggregate)
 
 
 @dataclass(frozen=True)
@@ -531,7 +532,7 @@ def hitting_below(
         lam = system.model.rate
         sev_dist = lattice_masses(system.model.severity, d)
         span = sev_dist.span
-        m = np.arange(1, steps_within(c * t - u, span) + 1)
+        m = np.arange(1, check_cells(steps_within(c * t - u, span) + 1))
         s = (m * span + u) / c
         crossings = _crossing_sum(sev_dist, m, lam * s, u / (c * s))[0]
         # the no-claim path reaches -u at time u/c

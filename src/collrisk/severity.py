@@ -19,11 +19,10 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, GridError, TailError
-from .lattice import LatticeDistribution, steps_to
+from .lattice import MAX_CELLS, LatticeDistribution, check_span, first_step
 
 _WEIGHT_TOL = 1e-12
 TAIL_TOL = 1e-10  # tail mass a discretization may cut off beyond its last cell
-_MAX_CELLS = 10**9  # most cells a discretization may take to reach TAIL_TOL
 
 
 class SeverityModel:
@@ -98,19 +97,6 @@ class SeverityModel:
         vary (Gamma is a rejection sampler), so Monte Carlo draws claims last."""
         raise NotImplementedError
 
-    def coverage_cells(self, d: float) -> int:
-        """Smallest n with P(X > n*d) <= TAIL_TOL, for a span ``discretize`` has checked."""
-        lo, hi = 0, 1
-        while self.sf(hi * d) > TAIL_TOL:
-            lo, hi = hi, hi * 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.sf(mid * d) > TAIL_TOL:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
 
 @dataclass(frozen=True)
 class Exponential(SeverityModel):
@@ -157,9 +143,6 @@ class Exponential(SeverityModel):
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return -np.log1p(-rng.random(n)) / self.rate
-
-    def coverage_cells(self, d: float) -> int:
-        return max(1, math.ceil(-math.log(TAIL_TOL) / (self.rate * d)))
 
 
 @dataclass(frozen=True)
@@ -220,10 +203,6 @@ class Gamma(SeverityModel):
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.standard_gamma(self.shape, n) * self.scale
-
-    def coverage_cells(self, d: float) -> int:
-        x_star = float(special.gammainccinv(self.shape, TAIL_TOL)) * self.scale
-        return max(1, math.ceil(x_star / d))
 
 
 @dataclass(frozen=True)
@@ -412,10 +391,6 @@ class Lattice(SeverityModel):
     def lattice_span(self) -> float:
         return self.span
 
-    def coverage_cells(self, d: float) -> int:
-        n = max(1, steps_to(len(self.masses) * self.span, d))
-        return n if self.sf(n * d) <= TAIL_TOL else n + 1  # n*d rounded below the top
-
     def as_distribution(self) -> LatticeDistribution:
         return self._dist
 
@@ -450,45 +425,26 @@ def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, alias
 
 
-def discretize(
-    model: SeverityModel,
-    d: float,
-    n_max: int | None = None,
-    force: bool = False,
-) -> LatticeDistribution:
+def discretize(model: SeverityModel, d: float) -> LatticeDistribution:
     """Right-endpoint discretization of a severity onto span ``d``.
 
     The mass of the cell ((n-1)d, nd] is assigned to the point nd, which
     keeps all mass strictly positive as the aggregate recursion requires.
-    ``n_max`` defaults to the fewest cells that leave at most TAIL_TOL
-    beyond them, and a law that needs more than 1e9 cells is a TailError.
-    Residual mass beyond ``n_max`` cells is folded into the last cell; if
-    it exceeds TAIL_TOL and ``force`` is not set, a TailError is raised
-    instead (ruin recursions are exponentially sensitive to truncated
-    tails).
+    The lattice has the fewest cells n with P(X > n*d) <= TAIL_TOL (ruin
+    recursions are exponentially sensitive to truncated tails), and that
+    remainder is folded into the last cell. A law that needs more than
+    ``lattice.MAX_CELLS`` cells is a TailError.
     """
-    if not d > 0.0:
-        raise DomainError(f"span must be positive, got {d}")
-    if not math.isfinite(d):
-        raise DomainError(f"span must be finite, got {d}")
-    if n_max is None:
-        if model.sf(_MAX_CELLS * d) > TAIL_TOL:
-            raise TailError(f"tail does not reach {TAIL_TOL} within 1e9 cells of span {d}")
-        n_max = model.coverage_cells(d)
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    edges = np.arange(n_max + 1) * d
+    check_span(d)
+    n = first_step(lambda n: model.sf(n * d) <= TAIL_TOL)
+    if n is None:
+        raise TailError(f"tail does not reach {TAIL_TOL} within {MAX_CELLS} cells of span {d}")
+    edges = np.arange(n + 1) * d
     if model.lattice_span is not None:
         edges += 1e-9 * d  # keep an atom on its lattice point when n*d rounds below it
     surv = model._sf_array(edges)
     cells = surv[:-1] - surv[1:]
-    residual = surv[-1]
-    if residual > TAIL_TOL and not force:
-        raise TailError(
-            f"tail mass {residual:.3e} beyond {n_max} cells of span {d} "
-            f"exceeds tolerance {TAIL_TOL:.1e}"
-        )
-    cells[-1] += residual
+    cells[-1] += surv[-1]
     return LatticeDistribution(d, np.concatenate([[0.0], cells]))
 
 

@@ -461,6 +461,30 @@ def test_span_beyond_the_cell_cap_is_one_error_line(exp_model, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["tail", "--t", "10", "--x", "1e8"], ["ruin", "--u", "1e12"],
+     ["seal", "--u", "0", "--t", "1e12"]],
+    ids=lambda argv: argv[0],
+)
+def test_lattice_past_the_cell_cap_is_one_error_line(exp_model, capsys, argv):
+    # far above the cap: the recursion refuses before it allocates anything
+    code, out = run([argv[0], exp_model, *argv[1:]])
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "lattice cells exceed the cap" in err
+
+
+def test_tail_past_the_gamma_abscissa_names_the_level(tmp_path, capsys):
+    model = tmp_path / "gamma.model"
+    model.write_text(EXP_MODEL_TEXT.replace("kind = exponential\n    rate = 1.0",
+                                            "kind = gamma\n    shape = 2.5"))
+    code, out = run(["tail", str(model), "--t", "10", "--x", "1e300"])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: g' never reaches 1e+300 below the abscissa 1.0\n"
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["tail", "--t", "inf", "--x", "1.5"], "--t"),

@@ -35,6 +35,7 @@ from collrisk import (
     simulate,
     suggest_truncation,
 )
+from collrisk.rootfind import expand_upper
 
 EXP_MODEL = CompoundModel(1.0, Exponential(1.0))
 UNIT_MODEL = CompoundModel(1.0, PointMass(1.0))
@@ -127,6 +128,20 @@ def test_entropy_domain():
         entropy(EXP_MODEL, 0.0)
     with pytest.raises(DomainError):
         entropy(EXP_MODEL, -1.0)
+
+
+def test_entropy_names_the_level_past_a_finite_abscissa():
+    # g' of Gamma claims stays finite below the abscissa 1, so 1e300 is out of reach
+    with pytest.raises(DomainError, match="g' never reaches 1e\\+300 below the abscissa 1.0"):
+        entropy(CompoundModel(1.0, Gamma(2.5)), 1e300)
+
+
+def test_expand_upper_never_calls_f_at_a_finite_limit():
+    def f(x):
+        assert x < 1.0
+        return -1.0
+
+    assert math.isnan(expand_upper(f, 0.0, 1.0))
 
 
 def test_legendre_round_trip():

@@ -12,16 +12,21 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from collrisk import (
+    CompoundModel,
     DomainError,
     Exponential,
+    GridError,
+    Lattice,
     LatticeDistribution,
     ParseError,
+    RiskSystem,
     UnderflowWarning,
     compound_geometric,
     discretize,
     panjer,
+    ruin_panjer,
 )
-from collrisk.lattice import _recurse, step_at, steps_within
+from collrisk.lattice import MAX_CELLS, _recurse, first_step, step_at, steps_within
 
 
 def convolution_mixture(rate, f, n_out, n_terms=40):
@@ -159,6 +164,14 @@ def test_panjer_input_validation():
     for empty in ([0.0], [0.0, 0.0]):  # no claim-size mass to renormalize
         with pytest.raises(DomainError):
             panjer(1.0, lattice(1.0, empty), 10)
+
+
+def test_recursions_refuse_more_cells_than_the_cap():
+    # far above the cap: nothing is allocated
+    with pytest.raises(GridError, match=f"{10**12} lattice cells exceed the cap of {MAX_CELLS}"):
+        panjer(1.0, lattice(1.0, [0.0, 1.0]), 10**12)
+    with pytest.raises(GridError, match="exceed the cap"):
+        compound_geometric(0.5, lattice(1.0, [0.0, 1.0]), 10**12)
 
 
 def test_panjer_renormalizes_with_log(caplog):
@@ -391,6 +404,41 @@ def test_step_at_tolerance_and_domain():
             step_at(1.0, span)
 
 
+@pytest.mark.parametrize("span", [0.0, -1.0, math.inf, math.nan])
+def test_every_span_check_wants_a_positive_finite_span(span):
+    system = RiskSystem(CompoundModel(1.0, Exponential(1.0)), 1.25, 0.0)
+    for build in (
+        lambda: LatticeDistribution(span, np.array([0.0, 1.0])),
+        lambda: Lattice(span, (1.0,)),  # an infinite span gave a law with mean inf
+        lambda: discretize(Exponential(1.0), span),
+        lambda: ruin_panjer(system, span, 1.0),
+        lambda: step_at(1.0, span),
+    ):
+        with pytest.raises(DomainError, match="span must be positive and finite"):
+            build()
+
+
+@given(k=st.integers(1, MAX_CELLS), start=st.integers(0, MAX_CELLS))
+@example(k=MAX_CELLS, start=0)
+@example(k=1, start=MAX_CELLS - 1)
+def test_first_step_is_the_first_true_step_past_start(k, start):
+    asked = []
+
+    def holds(n):
+        asked.append(n)
+        return n >= k
+
+    assert first_step(holds, start) == (max(k, start + 1) if start < MAX_CELLS else None)
+    assert len(asked) == len(set(asked))
+    assert all(start < n <= MAX_CELLS for n in asked)
+
+
+def test_first_step_is_none_when_nothing_holds_up_to_the_cap():
+    asked = []
+    assert first_step(lambda n: asked.append(n) or False) is None
+    assert max(asked) == MAX_CELLS and len(asked) == len(set(asked))
+
+
 def test_steps_within_array_matches_scalar():
     x = np.array([0.0, 0.3, 0.7, 1.1, 2.9999999999, 5.0])
     counts = steps_within(x, 0.1)
@@ -398,14 +446,9 @@ def test_steps_within_array_matches_scalar():
     assert counts.tolist() == [steps_within(float(v), 0.1) for v in x]
 
 
-# the only functions outside lattice.py that may round an amount: each
-# rounds to a grid of its own, not to a lattice cell
-_ROUNDING_ALLOWED = {
-    "portfolio_exact_tail",  # its 1e-9 money grid
-    "suggest_truncation",  # the search bracket of a bound
-    "Exponential.coverage_cells",  # closed-form cell counts
-    "Gamma.coverage_cells",
-}
+# the only function outside lattice.py that may round an amount: it rounds
+# to a grid of its own, not to a lattice cell
+_ROUNDING_ALLOWED = {"portfolio_exact_tail"}  # its 1e-9 money grid
 
 
 def _functions_by_line(tree):

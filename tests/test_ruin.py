@@ -355,6 +355,28 @@ def test_seal_monotone():
     assert values_u[0] > values_u[1] > values_u[2]
 
 
+def test_seal_returns_its_horizon_aggregate():
+    # u + c*t = 5.06 lies between the cells 50 and 51 of span 0.1
+    t, d = 2.03, 0.1
+    result = seal(RiskSystem(UNIT_MODEL, 2.0, 1.0), t, d=d)
+    agg = panjer(t, discretize(PointMass(1.0), d), 51)
+    assert result.aggregate.masses.tobytes() == agg.masses.tobytes()
+    assert result.beyond == agg.tail(50)
+
+
+def test_finite_time_sums_refuse_more_cells_than_the_cap():
+    # far above the cap: nothing is allocated
+    with pytest.raises(GridError, match="exceed the cap"):
+        seal(EXP_SYS, 1e12, d=0.01)
+    with pytest.raises(GridError, match="exceed the cap"):
+        hitting_below(EXP_SYS, 1.0, t=1e13, d=0.01)
+    with pytest.raises(GridError, match="exceed the cap"):
+        _crossing_sum(discretize(Exponential(1.0), 0.01), np.array([10**12]), np.ones(1),
+                      np.ones(1))
+    with pytest.raises(GridError, match="exceed the cap"):
+        ruin_panjer(EXP_SYS, 0.01, 1e12)
+
+
 def test_seal_grid_errors():
     with pytest.raises(GridError):
         seal(RiskSystem(UNIT_MODEL, 2.0, 0.13), 2.0, d=0.25)  # u off the lattice

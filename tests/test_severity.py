@@ -21,6 +21,8 @@ from collrisk import (
     discretize_ladder,
     lattice_masses,
 )
+from collrisk.lattice import MAX_CELLS
+from collrisk.severity import TAIL_TOL
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -228,20 +230,30 @@ def test_discretize_point_mass():
 
 def test_discretize_exponential_cells():
     # right-endpoint rule: cell masses are survival-function increments
-    dist = discretize(Exponential(1.0), 0.5, n_max=60)
+    dist = discretize(Exponential(1.0), 0.5)
     assert dist.masses[1] == pytest.approx(1 - math.exp(-0.5), rel=1e-12)
     assert dist.masses[2] == pytest.approx(math.exp(-0.5) - math.exp(-1.0), rel=1e-12)
 
 
-def test_discretize_truncation():
-    with pytest.raises(TailError):
-        discretize(Exponential(1.0), 0.5, n_max=2)
-    forced = discretize(Exponential(1.0), 0.5, n_max=2, force=True)
-    # the residual tail is folded into the last cell
-    assert forced.masses[2] == pytest.approx(
-        math.exp(-0.5) - math.exp(-1.0) + math.exp(-1.0), rel=1e-12
-    )
-    assert forced.masses.sum() == pytest.approx(1.0, abs=1e-12)
+def test_discretize_folds_the_tail_into_the_last_cell():
+    dist = discretize(Exponential(1.0), 0.5)
+    n = dist.size - 1
+    assert n == 47  # the fewest cells with exp(-0.5 n) <= 1e-10
+    # its own increment plus the tail beyond it: P(X > (n - 1) d)
+    assert dist.masses[n] == pytest.approx(math.exp(-0.5 * (n - 1)), rel=1e-12)
+    assert dist.masses.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(all_severities, st.floats(0.002, 0.5))
+@example(Exponential(1.0), 0.01)
+@example(Gamma(2.5), 0.01)
+@example(Lattice(0.5, (0.4, 0.6)), 0.49999999999999994)
+@example(PointMass(0.9), 0.3)
+def test_discretize_takes_the_fewest_cells_that_reach_the_tail_tolerance(model, d):
+    n = discretize(model, d).size - 1
+    assert model.sf(n * d) <= TAIL_TOL
+    assert n == 1 or model.sf((n - 1) * d) > TAIL_TOL
 
 
 @settings(max_examples=40, deadline=None)
@@ -324,8 +336,8 @@ def test_discretize_rejects_a_bad_span(d):
     ids=lambda m: type(m).__name__,
 )
 def test_discretize_caps_the_cell_count(model):
-    # closed-form cell counts reach the cap too, before any array is allocated
-    with pytest.raises(TailError, match="within 1e9 cells"):
+    # the cell-count search stops at the cap, before any array is allocated
+    with pytest.raises(TailError, match=f"within {MAX_CELLS} cells"):
         discretize(model, 1e-300)
 
 
