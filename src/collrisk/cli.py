@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     RootBracketError,
 )
-from .lattice import panjer, step_at, steps_to, steps_within
+from .lattice import check_cells, panjer, step_at, steps_to, steps_within
 from .ruin import (
     LundbergSolution,
     RiskSystem,
@@ -224,7 +224,7 @@ def _lattice_from_file(path: Path, span: float) -> Lattice:
         masses[idx] = mass
     if not masses:
         raise ParseError(f"{path}: no mass rows")
-    arr = np.zeros(max(masses))
+    arr = np.zeros(check_cells(max(masses)))
     for idx, mass in masses.items():
         arr[idx - 1] = mass
     total = arr.sum()
@@ -611,7 +611,10 @@ def _finite(raw: str) -> float:
 
 
 def _float_list(raw: str) -> list[float]:
-    return [_finite(tok) for tok in raw.split(",") if tok.strip()]
+    values = [_finite(tok) for tok in raw.split(",") if tok.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one number, got '{raw}'")
+    return values
 
 
 @functools.cache  # built on the first call, not at import; parse_args leaves it unchanged

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, LatticeSeverityError, SizeError
-from .lattice import MAX_CELLS, check_span, first_step, step_at, steps_to
+from .lattice import MAX_CELLS, check_cells, check_span, first_step, step_at, steps_to
 from .rootfind import expand_lower, expand_upper, safeguarded_newton
 from .severity import Lattice, SeverityModel
 
@@ -370,7 +370,7 @@ def portfolio_to_compound(portfolio: Portfolio, span: float | None = None) -> Co
         span, indices = _infer_span(xs)
     else:
         indices = [max(1, steps_to(x, check_span(span))) for x in xs]
-    masses = np.zeros(max(indices))
+    masses = np.zeros(check_cells(max(indices)))
     for idx, li in zip(indices, lam_i):
         masses[idx - 1] += li / lam
     return CompoundModel(lam, Lattice(span, tuple(masses)))
@@ -420,8 +420,9 @@ def suggest_truncation(
     (``lattice.first_step``) starts at ``steps_to(t*mean_rate, d)``; no such
     index up to ``lattice.MAX_CELLS`` is a DomainError.
     """
-    if not (t > 0.0 and d > 0.0):
-        raise DomainError("horizon and span must be positive")
+    if not t > 0.0:
+        raise DomainError(f"horizon must be positive, got {t}")
+    check_span(d)
 
     def below(n: int) -> bool:
         return math.exp(-t * entropy(model, n * d / t).h) < tol

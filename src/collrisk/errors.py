@@ -62,7 +62,7 @@ class SizeError(CollRiskError):
 
 
 class BudgetError(CollRiskError):
-    """A simulation plan exceeds the configured event budget."""
+    """A simulation plan expects more claim events than ``montecarlo.EVENT_BUDGET``."""
 
 
 class InsufficientRuinsError(CollRiskError):

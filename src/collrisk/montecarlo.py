@@ -53,16 +53,20 @@ def severity_sampler(severity: SeverityModel) -> Sampler:
 # ---------------------------------------------------------------------------
 
 
+EVENT_BUDGET = 2e9  # most expected claim events one ``simulate`` may draw
+
+
 @dataclass(frozen=True)
 class SimulationPlan:
     """Everything needed to reproduce a simulation bit-for-bit.
 
-    Estimators: ``tail_probes`` asks for P(S(t) >= t*x) per (t, x);
-    ``ruin_levels`` for the frequency of ruin by the horizon per capital u;
-    ``hitting_levels`` for passage of U to -u by the horizon;
-    ``collect_ruin_times`` keeps the conditional ruin-time samples at one
-    capital level, and ``conditional_probe`` additionally records
-    E[S(t) | ruin] at the probe time t.
+    Frequency estimators: ``tail_probes`` asks for P(S(t) >= t*x) per
+    (t, x); ``ruin_levels`` for the frequency of ruin by the horizon per
+    capital u; ``hitting_levels`` for passage of U to -u by the horizon;
+    ``collect_ruin_times`` for the ruin frequency at one more capital,
+    whose conditional ruin-time samples are kept as well. ``count_probe``
+    adds the mean and variance of N(t) to the diagnostics. ``simulate``
+    refuses a plan that expects more than ``EVENT_BUDGET`` claim events.
     """
 
     system: RiskSystem
@@ -73,11 +77,9 @@ class SimulationPlan:
     ruin_levels: tuple[float, ...] = ()
     hitting_levels: tuple[float, ...] = ()
     collect_ruin_times: float | None = None
-    conditional_probe: float | None = None
     count_probe: float | None = None
     workers: int = 1
     chunk_paths: int | None = None
-    event_budget: float = 2e9
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -86,8 +88,6 @@ class SimulationPlan:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
         if self.workers < 1:
             raise DomainError(f"workers must be >= 1, got {self.workers}")
-        if self.conditional_probe is not None and self.collect_ruin_times is None:
-            raise DomainError("conditional probe needs collect_ruin_times")
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,21 @@ def _frequency(hits: float, n: int) -> EstimateWithError:
     return EstimateWithError(p, se, n)
 
 
+def _collected(plan: SimulationPlan) -> tuple[float, ...]:
+    return () if plan.collect_ruin_times is None else (plan.collect_ruin_times,)
+
+
+def _estimator_names(plan: SimulationPlan) -> list[str]:
+    """The estimate named by each entry of a chunk's count vector, in order:
+    tail probes, ruin levels, hitting levels, then the collected ruin level."""
+    return (
+        [f"tail(t={t:g};x={x:g})" for t, x in plan.tail_probes]
+        + [f"ruin(u={u:g})" for u in plan.ruin_levels]
+        + [f"hitting(u={u:g})" for u in plan.hitting_levels]
+        + [f"ruin(u={u:g})" for u in _collected(plan)]
+    )
+
+
 # ---------------------------------------------------------------------------
 # Chunked vectorized engine
 # ---------------------------------------------------------------------------
@@ -120,11 +135,8 @@ def _frequency(hits: float, n: int) -> EstimateWithError:
 
 @dataclass
 class _ChunkOut:
-    tail_hits: np.ndarray
-    ruin_hits: np.ndarray
-    hit_hits: np.ndarray
+    hits: np.ndarray  # paths counted by each entry of _estimator_names(plan)
     ruin_times: np.ndarray | None
-    cond_losses: np.ndarray | None
     count_sum: float
     count_sq_sum: float
     n_events: int
@@ -160,19 +172,14 @@ def _draw_chunk(
     return counts, starts, t_ev, x_ev
 
 
-def _segment_sum(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    out = np.zeros(counts.size)
+def _segment(
+    ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray, counts: np.ndarray, empty: float
+) -> np.ndarray:
+    """``ufunc`` reduced over each path's events; ``empty`` for a path without any."""
+    out = np.full(counts.size, empty)
     nz = np.flatnonzero(counts > 0)
     if nz.size:
-        out[nz] = np.add.reduceat(values, starts[nz])
-    return out
-
-
-def _segment_min(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    out = np.full(counts.size, np.inf)
-    nz = np.flatnonzero(counts > 0)
-    if nz.size:
-        out[nz] = np.minimum.reduceat(values, starts[nz])
+        out[nz] = ufunc.reduceat(values, starts[nz])
     return out
 
 
@@ -189,7 +196,7 @@ def _first_ruin_times(
     Ruin can only happen at a jump, so checking the post-jump values is
     exact."""
     breach = cum_loss - premium * t_ev > u
-    return _segment_min(np.where(breach, t_ev, np.inf), starts, counts)
+    return _segment(np.minimum, np.where(breach, t_ev, np.inf), starts, counts, np.inf)
 
 
 def _first_hitting_times(
@@ -215,7 +222,7 @@ def _first_hitting_times(
         t_next[ends[nz] - 1] = horizon
     candidate = (cum_loss + u) / premium
     valid = (candidate > t_ev) & (candidate <= t_next)
-    first = _segment_min(np.where(valid, candidate, np.inf), starts, counts)
+    first = _segment(np.minimum, np.where(valid, candidate, np.inf), starts, counts, np.inf)
     # the initial drift segment, before any jump
     first_event = np.full(counts.size, horizon)
     if nz.size:
@@ -235,43 +242,35 @@ def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: i
         np.concatenate([[0.0], cum_all])[starts], counts
     )
 
-    tail_hits = np.zeros(len(plan.tail_probes))
-    for i, (t, x) in enumerate(plan.tail_probes):
-        loss_at_t = _segment_sum(np.where(t_ev <= t, x_ev, 0.0), starts, counts)
-        tail_hits[i] = float(np.count_nonzero(loss_at_t >= t * x))
-
-    ruin_hits = np.zeros(len(plan.ruin_levels))
-    for i, u in enumerate(plan.ruin_levels):
-        first = _first_ruin_times(u, t_ev, cum_loss, starts, counts, c)
-        ruin_hits[i] = float(np.count_nonzero(np.isfinite(first)))
-
-    hit_hits = np.zeros(len(plan.hitting_levels))
-    for i, u in enumerate(plan.hitting_levels):
+    hits = []
+    for t, x in plan.tail_probes:
+        loss_at_t = _segment(np.add, np.where(t_ev <= t, x_ev, 0.0), starts, counts, 0.0)
+        hits.append(np.count_nonzero(loss_at_t >= t * x))
+    # ruin by the horizon at u is a highest post-jump excess S - c*t above u
+    # (the breach test of _first_ruin_times), so one peak per path serves every level
+    collected = _collected(plan)
+    peak = None
+    if plan.ruin_levels or collected:
+        peak = _segment(np.maximum, cum_loss - c * t_ev, starts, counts, -np.inf)
+    hits += [np.count_nonzero(peak > u) for u in plan.ruin_levels]
+    for u in plan.hitting_levels:
         first = _first_hitting_times(u, t_ev, cum_loss, starts, counts, c, horizon)
-        hit_hits[i] = float(np.count_nonzero(np.isfinite(first)))
+        hits.append(np.count_nonzero(np.isfinite(first)))
+    hits += [np.count_nonzero(peak > u) for u in collected]
 
     ruin_times = None
-    cond_losses = None
     if plan.collect_ruin_times is not None:
-        first = _first_ruin_times(
-            plan.collect_ruin_times, t_ev, cum_loss, starts, counts, c
-        )
-        ruined = np.isfinite(first)
-        ruin_times = first[ruined]
-        if plan.conditional_probe is not None:
-            t = plan.conditional_probe
-            loss_at_t = _segment_sum(np.where(t_ev <= t, x_ev, 0.0), starts, counts)
-            cond_losses = loss_at_t[ruined]
+        first = _first_ruin_times(plan.collect_ruin_times, t_ev, cum_loss, starts, counts, c)
+        ruin_times = first[np.isfinite(first)]
 
     count_sum = count_sq = 0.0
     if plan.count_probe is not None:
-        n_t = _segment_sum((t_ev <= plan.count_probe).astype(float), starts, counts)
+        n_t = _segment(np.add, (t_ev <= plan.count_probe).astype(float), starts, counts, 0.0)
         count_sum = float(n_t.sum())
         count_sq = float(np.dot(n_t, n_t))
 
     return _ChunkOut(
-        tail_hits, ruin_hits, hit_hits, ruin_times, cond_losses,
-        count_sum, count_sq, int(counts.sum()),
+        np.array(hits, dtype=float), ruin_times, count_sum, count_sq, int(counts.sum())
     )
 
 
@@ -294,14 +293,18 @@ def _pairwise_sum(blocks: list[np.ndarray]) -> np.ndarray:
 def simulate(plan: SimulationPlan) -> SimulationResult:
     """Run the plan and return every requested estimator with its error.
 
-    Expected event count lambda * horizon * n_paths is checked against the
-    plan's budget before any work happens.
+    Expected event count lambda * horizon * n_paths is checked against
+    ``EVENT_BUDGET`` before any work happens. Each chunk counts its paths
+    for every frequency estimator into one vector, and one pairwise sum
+    over the chunks, in chunk order, gives the totals. A level asked for
+    twice, or collected and also among ``ruin_levels``, keeps its first
+    place among the estimates.
     """
     sys = plan.system
     expected_events = sys.model.rate * plan.horizon * plan.n_paths
-    if expected_events > plan.event_budget:
+    if expected_events > EVENT_BUDGET:
         raise BudgetError(
-            f"expected {expected_events:.3g} events exceed the budget {plan.event_budget:.3g}"
+            f"expected {expected_events:.3g} events exceed the budget {EVENT_BUDGET:.3g}"
         )
     sampler = severity_sampler(sys.model.severity)
     chunk = _resolve_chunk_paths(plan)
@@ -318,31 +321,13 @@ def simulate(plan: SimulationPlan) -> SimulationResult:
             outs = list(pool.map(job, range(n_chunks)))
 
     n = plan.n_paths
-    estimates: dict[str, EstimateWithError] = {}
-    tail_tot = _pairwise_sum([o.tail_hits for o in outs])
-    for i, (t, x) in enumerate(plan.tail_probes):
-        estimates[f"tail(t={t:g};x={x:g})"] = _frequency(float(tail_tot[i]), n)
-    ruin_tot = _pairwise_sum([o.ruin_hits for o in outs])
-    for i, u in enumerate(plan.ruin_levels):
-        estimates[f"ruin(u={u:g})"] = _frequency(float(ruin_tot[i]), n)
-    hit_tot = _pairwise_sum([o.hit_hits for o in outs])
-    for i, u in enumerate(plan.hitting_levels):
-        estimates[f"hitting(u={u:g})"] = _frequency(float(hit_tot[i]), n)
-
+    totals = _pairwise_sum([o.hits for o in outs])
+    estimates = {
+        name: _frequency(float(hits), n) for name, hits in zip(_estimator_names(plan), totals)
+    }
     ruin_times = None
     if plan.collect_ruin_times is not None:
         ruin_times = np.concatenate([o.ruin_times for o in outs])
-        estimates[f"ruin(u={plan.collect_ruin_times:g})"] = _frequency(
-            float(ruin_times.size), n
-        )
-        if plan.conditional_probe is not None:
-            cond = np.concatenate([o.cond_losses for o in outs])
-            if cond.size >= 2:
-                mean = float(cond.mean())
-                se = float(cond.std(ddof=1)) / math.sqrt(cond.size)
-                estimates[
-                    f"conditional_loss(t={plan.conditional_probe:g})"
-                ] = EstimateWithError(mean, se, int(cond.size))
 
     diagnostics: dict[str, float] = {
         "events": float(sum(o.n_events for o in outs)),

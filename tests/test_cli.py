@@ -475,6 +475,28 @@ def test_lattice_past_the_cell_cap_is_one_error_line(exp_model, capsys, argv):
     assert "lattice cells exceed the cap" in err
 
 
+def test_lattice_file_atom_past_the_cell_cap_is_one_error_line(tmp_path, capsys):
+    # far above the cap: refused before the mass array is allocated (7.28 TiB)
+    (tmp_path / "far.lat").write_text("1 0.5\n1e12 0.5\n")
+    model = tmp_path / "far.model"
+    model.write_text(EXP_MODEL_TEXT.replace("kind = exponential\n    rate = 1.0",
+                                            "kind = lattice\n    span = 1\n    file = far.lat"))
+    code, out = run(["tail", str(model), "--t", "1", "--x", "1"])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == (
+        "error: 1000000000000 lattice cells exceed the cap of 10000000 cells\n")
+
+
+def test_portfolio_atom_past_the_cell_cap_is_one_error_line(tmp_path, capsys):
+    # far above the cap: refused before the mass array is allocated (7.11 PiB)
+    policies = tmp_path / "pol.csv"
+    policies.write_text("1000000,0.01\n500000,0.02\n")
+    code, out = run(["portfolio", str(policies), "--span", "1e-9", "--x", "1"])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == (
+        "error: 1000000000000000 lattice cells exceed the cap of 10000000 cells\n")
+
+
 def test_tail_past_the_gamma_abscissa_names_the_level(tmp_path, capsys):
     model = tmp_path / "gamma.model"
     model.write_text(EXP_MODEL_TEXT.replace("kind = exponential\n    rate = 1.0",
@@ -505,6 +527,21 @@ def test_non_finite_flag_is_a_usage_error(exp_model, capsys, argv, flag):
         run([argv[0], exp_model, *argv[1:]])
     assert exc.value.code == 2
     assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["ruin", "--u", ","], "--u"), (["ruin-time", "--u", "2", "--t", ","], "--t"),
+     (["portfolio", "--x", ","], "--x")],
+    ids=lambda v: "-".join(v) if isinstance(v, list) else v,
+)
+def test_empty_number_list_is_a_usage_error(exp_model, capsys, argv, flag):
+    # `ruin --u ,` crashed in max(); `ruin-time --t ,` and `portfolio --x ,`
+    # silently used the default ratios and printed no tails
+    with pytest.raises(SystemExit) as exc:
+        run([argv[0], exp_model, *argv[1:]])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected at least one number, got ','" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])

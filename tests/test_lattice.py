@@ -25,6 +25,7 @@ from collrisk import (
     discretize,
     panjer,
     ruin_panjer,
+    suggest_truncation,
 )
 from collrisk.lattice import MAX_CELLS, _recurse, first_step, step_at, steps_within
 
@@ -413,6 +414,7 @@ def test_every_span_check_wants_a_positive_finite_span(span):
         lambda: discretize(Exponential(1.0), span),
         lambda: ruin_panjer(system, span, 1.0),
         lambda: step_at(1.0, span),
+        lambda: suggest_truncation(system.model, 5.0, span),  # an infinite span ran the search
     ):
         with pytest.raises(DomainError, match="span must be positive and finite"):
             build()

@@ -46,7 +46,6 @@ def make_plan(**kw):
         ruin_levels=(2.0,),
         hitting_levels=(1.0,),
         collect_ruin_times=2.0,
-        conditional_probe=5.0,
         count_probe=10.0,
     )
     base.update(kw)
@@ -72,7 +71,7 @@ def test_worker_count_does_not_change_gamma_results():
     # vary; each chunk's own stream keeps the estimates bit-identical
     system = RiskSystem(CompoundModel(1.0, Gamma(2.5)), 3.0, 0.0)
     plan = make_plan(system=system, n_paths=8_000, chunk_paths=1_000, collect_ruin_times=None,
-                     conditional_probe=None, tail_probes=((10.0, 3.0),), ruin_levels=(4.0,))
+                     tail_probes=((10.0, 3.0),), ruin_levels=(4.0,))
     r1 = simulate(plan)
     r4 = simulate(replace(plan, workers=4))
     assert estimates_csv(r1) == estimates_csv(r4)
@@ -128,32 +127,57 @@ def slow_first_hit(times, sizes, c, u, horizon):
     return math.inf
 
 
+ENGINE_PROBES = [
+    {},  # make_plan's one probe of each kind; the collected level is its ruin level
+    # several of each, a level of each kind that no path reaches, and a
+    # collected level equal to the second ruin level
+    dict(
+        tail_probes=((10.0, 1.5), (5.0, 0.5), (30.0, 50.0)),
+        ruin_levels=(2.0, 0.5, 1e3, 4.0),
+        hitting_levels=(1.0, 1e3, 4.0),
+        collect_ruin_times=0.5,
+    ),
+]
+UNREACHED = {"tail(t=30;x=50)", "ruin(u=1000)", "hitting(u=1000)"}
+
+
 def test_vectorized_engine_matches_reference():
-    plan = make_plan(n_paths=400, horizon=30.0, chunk_paths=400)
-    result = simulate(plan)
-    paths = reference_paths(plan)
-    c = plan.system.premium_rate
+    for probes in ENGINE_PROBES:
+        plan = make_plan(n_paths=400, horizon=30.0, chunk_paths=400, **probes)
+        result = simulate(plan)
+        paths = reference_paths(plan)
+        c, n = plan.system.premium_rate, plan.n_paths
+        names = []
 
-    t, x = plan.tail_probes[0]
-    tail_hits = sum(
-        1 for times, sizes in paths if sizes[times <= t].sum() >= t * x
-    )
-    assert result.estimates["tail(t=10;x=1.5)"].value == tail_hits / plan.n_paths
+        for t, x in plan.tail_probes:
+            tail_hits = sum(
+                1 for times, sizes in paths if sizes[times <= t].sum() >= t * x
+            )
+            names.append(f"tail(t={t:g};x={x:g})")
+            assert result.estimates[names[-1]].value == tail_hits / n
 
-    u = plan.ruin_levels[0]
-    ruin_times = [
-        slow_first_ruin(times, sizes, c, u) for times, sizes in paths
-    ]
-    finite = [rt for rt in ruin_times if math.isfinite(rt)]
-    assert result.estimates["ruin(u=2)"].value == len(finite) / plan.n_paths
-    assert np.array_equal(result.ruin_times, np.array(finite))
+        for u in plan.ruin_levels:
+            ruin_times = [
+                slow_first_ruin(times, sizes, c, u) for times, sizes in paths
+            ]
+            finite = [rt for rt in ruin_times if math.isfinite(rt)]
+            names.append(f"ruin(u={u:g})")
+            assert result.estimates[names[-1]].value == len(finite) / n
+            if u == plan.collect_ruin_times:
+                assert np.array_equal(result.ruin_times, np.array(finite))
 
-    uh = plan.hitting_levels[0]
-    hits = [
-        slow_first_hit(times, sizes, c, uh, plan.horizon) for times, sizes in paths
-    ]
-    n_hits = sum(1 for h in hits if math.isfinite(h))
-    assert result.estimates["hitting(u=1)"].value == n_hits / plan.n_paths
+        for uh in plan.hitting_levels:
+            hits = [
+                slow_first_hit(times, sizes, c, uh, plan.horizon) for times, sizes in paths
+            ]
+            n_hits = sum(1 for h in hits if math.isfinite(h))
+            names.append(f"hitting(u={uh:g})")
+            assert result.estimates[names[-1]].value == n_hits / n
+
+        # the collected level keeps its ruin level's place
+        assert list(result.estimates) == names
+        for name in names:
+            assert (result.estimates[name].value == 0.0) == (name in UNREACHED), name
 
 
 def test_ruin_at_jump_and_hitting_between_jumps():
@@ -386,9 +410,8 @@ def test_event_budget():
     plan = SimulationPlan(
         system=EXP_SYS,
         horizon=100.0,
-        n_paths=1_000_000,
+        n_paths=100_000_000,  # 1e10 expected events, past the 2e9 budget
         seed=1,
-        event_budget=1e6,
     )
     with pytest.raises(BudgetError):
         simulate(plan)
@@ -399,10 +422,6 @@ def test_plan_validation():
         SimulationPlan(system=EXP_SYS, horizon=0.0, n_paths=10, seed=1)
     with pytest.raises(DomainError):
         SimulationPlan(system=EXP_SYS, horizon=1.0, n_paths=0, seed=1)
-    with pytest.raises(DomainError):
-        SimulationPlan(
-            system=EXP_SYS, horizon=1.0, n_paths=10, seed=1, conditional_probe=1.0
-        )
 
 
 def test_estimates_csv_shape():
@@ -424,6 +443,25 @@ def test_estimates_csv_shape():
         assert float(se) >= 0.0
         assert int(n) == 2_000
         assert int(seed) == 3
+
+
+def test_estimates_csv_is_pinned():
+    # recorded before tail, ruin and hitting counts shared one count vector:
+    # any change to the stream, the scan or the reduction order shows here
+    plan = make_plan(
+        horizon=30.0, n_paths=3_000, seed=13, chunk_paths=700,
+        tail_probes=((10.0, 1.5), (5.0, 0.5)), ruin_levels=(2.0, 0.5, 50.0),
+        hitting_levels=(1.0, 4.0), collect_ruin_times=0.5,
+    )
+    assert estimates_csv(simulate(plan)) == (
+        "tail(t=10;x=1.5),0.139666666667,0.00632982241828,3000,13\n"
+        "tail(t=5;x=0.5),0.788333333333,0.0074592119497,3000,13\n"
+        "ruin(u=2),0.488666666667,0.0091278853675,3000,13\n"
+        "ruin(u=0.5),0.716333333333,0.00823139608998,3000,13\n"
+        "ruin(u=50),0,0,3000,13\n"
+        "hitting(u=1),0.977666666667,0.00269826093176,3000,13\n"
+        "hitting(u=4),0.869666666667,0.00614774620868,3000,13\n"
+    )
 
 
 def test_ruin_times_text_round_trip():

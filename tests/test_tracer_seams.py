@@ -73,3 +73,22 @@ def test_main_builds_the_parser_through_the_traced_name():
     assert spans == [1, 2]  # one cli.parse span per call
     info = lib.cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)  # built on the first call only
+
+
+def test_traced_simulate_fills_the_monte_carlo_counters():
+    # runs the tracer's work counters on the result fields they read
+    lib = SimpleNamespace(**{m: importlib.import_module(f"collrisk.{m}") for m in MODULES})
+    model = lib.cumulant.CompoundModel(1.0, lib.severity.Exponential(1.0))
+    plan = lib.montecarlo.SimulationPlan(
+        system=lib.ruin.RiskSystem(model, 1.25, 0.0), horizon=20.0, n_paths=500, seed=3,
+        chunk_paths=200, ruin_levels=(1.0,), collect_ruin_times=1.0)
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install(lib)
+        lib.montecarlo.simulate(plan)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert counts["mc_events"] > 0 and counts["mc_ruined"] > 0
+    assert (counts["mc_chunks"], counts["mc_paths"]) == (3, 500)
+    assert counts["sample_draws"] == counts["mc_events"]  # one draw per claim event
