@@ -458,6 +458,9 @@ def cmd_ruin(spec: ModelSpec, args: argparse.Namespace) -> str:
         horizon = controls.mc_horizon
         if horizon is None:
             horizon = 5.0 * max(u_list) * sol.time_scale
+            if horizon == 0.0:
+                raise DomainError("every capital is 0, so the default horizon is 0; "
+                                  "pass --horizon")
         result = montecarlo.simulate(_plan(system, controls, horizon, args.workers,
                                            ruin_levels=tuple(u_list)))
         for u in u_list:
@@ -472,8 +475,11 @@ def cmd_ruin(spec: ModelSpec, args: argparse.Namespace) -> str:
 def cmd_ruin_time(spec: ModelSpec, args: argparse.Namespace) -> str:
     system, controls = spec.system, spec.controls
     u = args.u
-    sol = lundberg(system)
     ratios = args.t if args.t else [0.5, 0.75, 1.0, 1.25, 1.5, 2.0]
+    for ratio in ratios:
+        if not ratio > 0.0:
+            raise DomainError(f"--t values must be positive, got {ratio:g}")
+    sol = lundberg(system)
     rows: list[tuple] = [
         ("R", u, None, sol.R, None),
         ("C", u, None, sol.constant, None),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -53,14 +53,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompoundModel:
-    """Claim intensity per unit time paired with a severity law."""
+    """Claim intensity per unit time paired with a severity law.
+
+    The model keeps the roots solved for it (``entropy`` by level,
+    ``lundberg`` and ``mixture_exact`` by premium rate), so each is solved
+    once per model. The memo is outside equality, hash and repr.
+    """
 
     rate: float
     severity: SeverityModel
+    _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rate > 0.0:
             raise DomainError(f"claim intensity must be positive, got {self.rate}")
+
+    def _root(self, key: tuple, solve):
+        """``solve()`` on the first call for ``key``, the same object after that.
+
+        Only results are kept: a solve that raises runs again on the next call.
+        Threads that ask at once may each solve; they store equal results.
+        """
+        root = self._roots.get(key)
+        if root is None:
+            root = self._roots[key] = solve()
+        return root
 
     @property
     def xi_bar(self) -> float:
@@ -103,8 +120,13 @@ def entropy(model: CompoundModel, x: float) -> EntropyPoint:
 
     The maximizer solves g'(xi) = x, a strictly increasing equation, found
     by safeguarded Newton inside an expanding bracket. h vanishes exactly
-    at the mean rate and is positive elsewhere.
+    at the mean rate and is positive elsewhere. Each level is solved once
+    per model; a repeat returns the stored point.
     """
+    return model._root(("entropy", x), lambda: _entropy(model, x))
+
+
+def _entropy(model: CompoundModel, x: float) -> EntropyPoint:
     if not x > 0.0:
         raise DomainError(f"level must be positive, got {x}")
     mean = model.mean_rate

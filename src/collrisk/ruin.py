@@ -149,10 +149,11 @@ def ruin_panjer(system: RiskSystem, d: float, u_max: float) -> RuinCurve:
     The ladder-height density is discretized on span ``d`` and fed to the
     lattice recursion with r = lambda*mu/c. The curve is nonincreasing,
     starts at r, and carries the right-endpoint discretization's upward
-    bias (conservative for solvency purposes).
+    bias (conservative for solvency purposes). ``u_max = 0`` gives the
+    curve at u = 0 alone, r(0) = r.
     """
-    if not u_max > 0.0:
-        raise DomainError(f"u_max must be positive, got {u_max}")
+    if not u_max >= 0.0:
+        raise DomainError(f"capital must be nonnegative, got {u_max}")
     law = ladder(system)
     k = discretize_ladder(law.severity, check_span(d))
     n_out = steps_to(u_max, d) + 1
@@ -182,6 +183,11 @@ class LundbergSolution:
 
 
 def lundberg(system: RiskSystem) -> LundbergSolution:
+    """The adjustment coefficient, solved once per model and premium rate."""
+    return system.model._root(("lundberg", system.premium_rate), lambda: _lundberg(system))
+
+
+def _lundberg(system: RiskSystem) -> LundbergSolution:
     model, c = system.model, system.premium_rate
     mean = model.mean_rate
     if abs(system.loading) <= 1e-14 * max(1.0, c):
@@ -284,9 +290,20 @@ class MixtureRuin:
 
 
 def mixture_exact(system: RiskSystem, u: float) -> MixtureRuin:
+    """r(u) from the decay rates and constants, which are solved once per
+    model and premium rate."""
     system._require_positive_loading("the exact mixture formula")
     if u < 0.0:
         raise DomainError(f"capital must be nonnegative, got {u}")
+    roots, constants = system.model._root(
+        ("mixture", system.premium_rate), lambda: _mixture_roots(system)
+    )
+    terms = [ci * math.exp(-ri * u) for ri, ci in zip(roots, constants)]
+    return MixtureRuin(roots, constants, sum(terms), terms[0])
+
+
+def _mixture_roots(system: RiskSystem) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The interlaced decay rates R_i and their constants C_i."""
     mix = system.model.severity.as_mixture()
     if mix is None:
         raise DomainError("exact evaluation needs an exponential or mixture severity")
@@ -315,8 +332,7 @@ def mixture_exact(system: RiskSystem, u: float) -> MixtureRuin:
         roots.append(safeguarded_newton(psi, psi_prime, lo, hi, rtol=1e-15))
 
     constants = [c * (1.0 - r) / (gp_extended(root) - c) for root in roots]
-    terms = [ci * math.exp(-ri * u) for ri, ci in zip(roots, constants)]
-    return MixtureRuin(tuple(roots), tuple(constants), sum(terms), terms[0])
+    return tuple(roots), tuple(constants)
 
 
 def _approach(f, pole: float, width: float, sign: int) -> float:

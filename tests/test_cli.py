@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from collrisk import Exponential, Lattice, MixtureOfExponentials, ParseError, errors
-from collrisk import cli, ruin, severity
+from collrisk import cli, cumulant, ruin, severity
 from collrisk.cli import main, parse_model_file, parse_model_text
 
 EXP_MODEL_TEXT = """\
@@ -675,3 +675,89 @@ def test_table_format_has_header(exp_model):
     lines = out.splitlines()
     assert lines[0].split()[:3] == ["method", "u", "t"]
     assert set(lines[1]) <= {"-", " "}
+
+
+# ---------------------------------------------------------------------------
+# each root is solved once per model
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def newton_solves(monkeypatch):
+    """Counts safeguarded_newton calls at the names the cumulant and ruin layers call."""
+    calls = []
+    original = cumulant.safeguarded_newton
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cumulant, "safeguarded_newton", counted)
+    monkeypatch.setattr(ruin, "safeguarded_newton", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "severity, argv, solves",
+    [
+        # one adjustment coefficient and one mixture root
+        ("kind = exponential\n    rate = 1.0", ["ruin", "--u", "5,10,20"], 2),
+        # one adjustment coefficient and two interlaced mixture roots
+        ("kind = mixture\n    weights = 0.4, 0.6\n    rates = 0.5, 2.0",
+         ["ruin", "--u", "5,10,20"], 3),
+        # the adjustment coefficient and six entropy levels; ratio 1 is the time scale
+        ("kind = exponential\n    rate = 1.0", ["ruin-time", "--u", "20"], 7),
+        # chernoff and esscher share one tilt
+        ("kind = exponential\n    rate = 1.0", ["tail", "--t", "10", "--x", "1.5"], 1),
+        ("kind = gamma\n    shape = 2.5", ["tail", "--t", "10", "--x", "4"], 1),
+    ],
+    ids=["ruin-exponential", "ruin-mixture", "ruin-time", "tail-exponential", "tail-gamma"],
+)
+def test_each_root_is_solved_once_per_command(tmp_path, newton_solves, severity, argv, solves):
+    model = tmp_path / "m.model"
+    model.write_text(EXP_MODEL_TEXT.replace("kind = exponential\n    rate = 1.0", severity))
+    code, _ = run([argv[0], str(model), *argv[1:]])
+    assert code == 0
+    assert len(newton_solves) == solves
+
+
+# ---------------------------------------------------------------------------
+# zero capital and nonpositive time ratios
+# ---------------------------------------------------------------------------
+
+
+def test_ruin_at_zero_capital_alone(exp_model):
+    code, alone = run(["ruin", exp_model, "--u", "0", "--format", "csv"])
+    assert code == 0
+    code, both = run(["ruin", exp_model, "--u", "0,5", "--format", "csv"])
+    assert code == 0
+    at_zero = [row for row in csv_rows(both) if row[1] == "0"]
+    assert csv_rows(alone) == at_zero
+    assert [row[0] for row in at_zero] == [
+        "panjer-recursion", "cramer-lundberg", "lundberg-bound", "mixture-exact"]
+    assert float(at_zero[0][3]) == pytest.approx(0.8, abs=1e-12)  # r = lambda*mu/c
+
+
+def test_ruin_negative_capital_is_a_domain_error(exp_model, capsys):
+    code, out = run(["ruin", exp_model, "--u", "-1"])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: capital must be nonnegative, got -1.0\n"
+
+
+def test_ruin_mc_at_zero_capital_needs_a_horizon(exp_model, capsys):
+    code, out = run(["ruin", exp_model, "--u", "0", "--mc"])
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--horizon" in err
+    code, out = run(["ruin", exp_model, "--u", "0", "--mc", "--horizon", "5", "--paths", "500",
+                     "--format", "csv"])
+    assert code == 0
+    assert csv_rows(out)[-1][:3] == ["monte-carlo", "0", "5"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--absolute"]])
+@pytest.mark.parametrize("ratios, typed", [("0.5,-1", "-1"), ("0", "0"), ("1,-0.25", "-0.25")])
+def test_ruin_time_nonpositive_ratio_names_the_flag(exp_model, capsys, extra, ratios, typed):
+    code, out = run(["ruin-time", exp_model, "--u", "20", "--t", ratios, *extra])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == f"error: --t values must be positive, got {typed}\n"

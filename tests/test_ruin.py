@@ -27,6 +27,7 @@ from collrisk import (
     cramer_lundberg_approx,
     discretize,
     discretize_ladder,
+    entropy,
     finite_time_bound,
     hitting_below,
     ladder,
@@ -103,6 +104,14 @@ def test_ruin_panjer_monotone_in_unit_interval():
     assert np.all(values >= -1e-15)
     assert np.all(values <= 1.0 + 1e-12)
     assert np.all(np.diff(values) <= 1e-15)
+
+
+def test_ruin_panjer_at_zero_capital_alone():
+    alone = ruin_panjer(EXP_SYS, 0.01, 0.0)
+    assert alone.value(0.0) == ruin_panjer(EXP_SYS, 0.01, 5.0).value(0.0)
+    assert alone.value(0.0) == pytest.approx(0.8, abs=1e-12)
+    with pytest.raises(DomainError, match="capital must be nonnegative, got -0.5"):
+        ruin_panjer(EXP_SYS, 0.01, -0.5)
 
 
 def test_ruin_panjer_grid_indexing():
@@ -719,3 +728,55 @@ def test_composite_domain():
         composite_split(unit, CompoundModel(1.0, Exponential(0.3)), 0.4, 10.0)
     with pytest.raises(DomainError):
         composite_split(unit, unit, -0.1, 10.0)
+
+
+# ---------------------------------------------------------------------------
+# roots held on the model
+# ---------------------------------------------------------------------------
+
+CLAIM_KINDS = [
+    Exponential(1.0),
+    Gamma(2.5),
+    PointMass(1.0),
+    MixtureOfExponentials((0.4, 0.6), (0.5, 2.0)),
+    Lattice(0.5, (0.3, 0.5, 0.2)),
+]
+
+
+def _roots_of(model):
+    """entropy on both sides of the mean, lundberg and, for exponential kinds,
+    mixture_exact at two capitals."""
+    mean = model.mean_rate
+    system = RiskSystem(model, 1.25 * mean)
+    found = [entropy(model, 1.5 * mean), entropy(model, 0.5 * mean), lundberg(system)]
+    if model.severity.as_mixture() is not None:
+        found += [mixture_exact(system, 0.0), mixture_exact(system, 7.0)]
+    return found
+
+
+@pytest.mark.parametrize("severity", CLAIM_KINDS, ids=lambda s: type(s).__name__)
+def test_memoized_roots_match_a_fresh_model_bit_for_bit(severity):
+    model = CompoundModel(1.0, severity)
+    first = _roots_of(model)
+    again = _roots_of(model)
+    assert all(a is b for a, b in zip(first[:3], again[:3]))  # the stored objects
+    fresh = _roots_of(CompoundModel(1.0, severity))
+    assert [repr(a) for a in again] == [repr(b) for b in fresh]  # repr round-trips floats
+
+    twin = CompoundModel(1.0, severity)
+    assert model._roots and not twin._roots
+    assert model == twin
+    assert hash(model) == hash(twin)
+    assert repr(model) == repr(twin)
+
+
+def test_failed_solves_are_not_stored():
+    model = CompoundModel(1.0, Gamma(2.5))
+    for _ in range(2):
+        with pytest.raises(LoadingError):
+            lundberg(RiskSystem(model, model.mean_rate))
+        with pytest.raises(DomainError, match="exponential or mixture severity"):
+            mixture_exact(RiskSystem(model, 1.25 * model.mean_rate), 1.0)
+        with pytest.raises(DomainError, match="level must be positive"):
+            entropy(model, 0.0)
+    assert model._roots == {}

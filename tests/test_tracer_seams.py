@@ -92,3 +92,25 @@ def test_traced_simulate_fills_the_monte_carlo_counters():
     assert counts["mc_events"] > 0 and counts["mc_ruined"] > 0
     assert (counts["mc_chunks"], counts["mc_paths"]) == (3, 500)
     assert counts["sample_draws"] == counts["mc_events"]  # one draw per claim event
+
+
+def test_traced_analytic_bundle_solves_each_root_once():
+    # one bundle of the analytic calls on one model: the tilt at x, the
+    # adjustment coefficient and the two entropy levels of the finite-time bound
+    lib = SimpleNamespace(**{m: importlib.import_module(f"collrisk.{m}") for m in MODULES})
+    model = lib.cumulant.CompoundModel(1.0, lib.severity.Exponential(1.0))
+    system = lib.ruin.RiskSystem(model, 1.25, 0.0)
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install(lib)
+        lib.cumulant.entropy(model, 1.5)
+        lib.cumulant.chernoff_bound(model, 10.0, 1.5)
+        lib.cumulant.esscher_tail(model, 10.0, 1.5)
+        tbar = lib.ruin.lundberg(system).time_scale
+        lib.ruin.finite_time_bound(system, 20.0, 0.5 * tbar)
+        lib.ruin.ruin_time_clt(system, 20.0, 0.0)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["rootfind.newton"] == 4
+    assert tracer.counts["newton_evals"] > 0  # the wrapped f and f' of each solve ran
+    assert tracer.calls["cumulant.entropy"] == 5  # every call is traced; hits skip the solve
