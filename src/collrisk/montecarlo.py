@@ -8,6 +8,17 @@ its transforms. Reproducibility is strict: paths are generated in
 fixed-size chunks, each from its own counter-based substream keyed by
 (seed, chunk index), and all reductions run in a fixed pairwise order,
 so results are bit-identical for any worker count.
+
+A chunk draws everything first, in a fixed stream order: the Poisson
+counts, one uniform per inner gap, one per closing gap, then the claim
+sizes. Its scan then runs over blocks of whole paths of about
+``BLOCK_EVENTS`` events each, small enough to stay in cache. The two
+running sums the scan needs (arrival spacings and claims) carry from block
+to block, so every arrival time, loss and estimate has the same bits
+whatever the block size. Past its draws a chunk holds about 16 bytes per
+claim event (the spacings and the claim sizes) plus one block's working
+arrays; an exponential, Gamma or point-mass sampler adds nothing while it
+draws.
 """
 
 from __future__ import annotations
@@ -15,13 +26,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import BudgetError, DomainError, InsufficientRuinsError
 from .ruin import RiskSystem, lundberg
-from .severity import SeverityModel
+from .severity import SeverityModel, exponential_draws
 
 __all__ = [
     "SimulationPlan",
@@ -54,6 +65,7 @@ def severity_sampler(severity: SeverityModel) -> Sampler:
 
 
 EVENT_BUDGET = 2e9  # most expected claim events one ``simulate`` may draw
+BLOCK_EVENTS = 32_768  # expected claim events per path block of a chunk's scan
 
 
 @dataclass(frozen=True)
@@ -64,8 +76,9 @@ class SimulationPlan:
     (t, x); ``ruin_levels`` for the frequency of ruin by the horizon per
     capital u; ``hitting_levels`` for passage of U to -u by the horizon;
     ``collect_ruin_times`` for the ruin frequency at one more capital,
-    whose conditional ruin-time samples are kept as well. ``count_probe``
-    adds the mean and variance of N(t) to the diagnostics. ``simulate``
+    whose conditional ruin-time samples are kept as well. ``chunk_paths``
+    fixes the paths per chunk (default: about 2e6 expected events per
+    chunk); it is part of the stream, so it changes the results. ``simulate``
     refuses a plan that expects more than ``EVENT_BUDGET`` claim events.
     """
 
@@ -77,7 +90,6 @@ class SimulationPlan:
     ruin_levels: tuple[float, ...] = ()
     hitting_levels: tuple[float, ...] = ()
     collect_ruin_times: float | None = None
-    count_probe: float | None = None
     workers: int = 1
     chunk_paths: int | None = None
 
@@ -88,6 +100,8 @@ class SimulationPlan:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
         if self.workers < 1:
             raise DomainError(f"workers must be >= 1, got {self.workers}")
+        if self.chunk_paths is not None and self.chunk_paths < 1:
+            raise DomainError(f"chunk_paths must be >= 1, got {self.chunk_paths}")
 
 
 @dataclass(frozen=True)
@@ -137,8 +151,6 @@ def _estimator_names(plan: SimulationPlan) -> list[str]:
 class _ChunkOut:
     hits: np.ndarray  # paths counted by each entry of _estimator_names(plan)
     ruin_times: np.ndarray | None
-    count_sum: float
-    count_sq_sum: float
     n_events: int
 
 
@@ -149,27 +161,52 @@ def _draw_chunk(
     horizon: float,
     sampler: Sampler,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Counts, segment starts, sorted arrival times and claim sizes for one chunk.
+    """Every draw of one chunk: counts, inner and closing gaps, claim sizes.
 
-    Arrival times use the exponential-spacings representation of uniform
-    order statistics, so no sort is needed: one Poisson count per path and
-    one uniform per gap (inner and final). The severity sampler runs last
-    in the chunk's own stream, so a sampler whose draws per claim vary
-    (Gamma's rejection sampler) leaves every other draw where it was and
-    the chunk stays reproducible.
+    The stream order is fixed: one Poisson count per path, one unit
+    exponential per inner gap (all paths' gaps in path order), one per
+    closing gap, then the severity sampler last, so a sampler whose draws
+    per claim vary (Gamma's rejection sampler) leaves every other draw
+    where it was. ``_path_blocks`` turns the gaps into arrival times by the
+    exponential-spacings representation of uniform order statistics, so no
+    sort is needed.
     """
     counts = rng.poisson(lam * horizon, n_paths)
-    total = int(counts.sum())
+    gaps = exponential_draws(rng, int(counts.sum()))
+    closing = exponential_draws(rng, n_paths)
+    return counts, gaps, closing, sampler(rng, gaps.size)
+
+
+def _path_blocks(
+    counts: np.ndarray,
+    gaps: np.ndarray,
+    closing: np.ndarray,
+    x_ev: np.ndarray,
+    horizon: float,
+    block_paths: int,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Arrival times and running losses of a chunk, ``block_paths`` paths at a time.
+
+    Yields ``(p0, starts, counts, t_ev, x_ev, cum_loss)`` per block of
+    paths ``p0, p0 + 1, ...``, with ``starts`` local to the block's events.
+    The running sums of the gaps and of the claims carry across blocks as
+    ``cumsum([carry, *block])``; ``add.accumulate`` is sequential, so each
+    value has the bits of one cumulative sum over the whole chunk.
+    """
     ends = np.cumsum(counts)
-    starts = (ends - counts).astype(np.int64)
-    gaps = -np.log1p(-rng.random(total))
-    closing = -np.log1p(-rng.random(n_paths))
-    cum = np.concatenate([[0.0], np.cumsum(gaps)])
-    seg_total = cum[ends] - cum[starts]
-    denom = seg_total + closing
-    t_ev = horizon * (cum[1:] - np.repeat(cum[starts], counts)) / np.repeat(denom, counts)
-    x_ev = sampler(rng, total)
-    return counts, starts, t_ev, x_ev
+    t_carry = x_carry = 0.0
+    for p0 in range(0, counts.size, block_paths):
+        cnt = counts[p0 : p0 + block_paths]
+        e1 = ends[p0 + cnt.size - 1]
+        e0 = ends[p0] - cnt[0]
+        starts = ends[p0 : p0 + cnt.size] - cnt - e0
+        cum = np.cumsum(np.concatenate([[t_carry], gaps[e0:e1]]))
+        cum_x = np.cumsum(np.concatenate([[x_carry], x_ev[e0:e1]]))
+        t_carry, x_carry = cum[-1], cum_x[-1]
+        denom = cum[starts + cnt] - cum[starts] + closing[p0 : p0 + cnt.size]
+        t_ev = horizon * (cum[1:] - np.repeat(cum[starts], cnt)) / np.repeat(denom, cnt)
+        cum_loss = cum_x[1:] - np.repeat(cum_x[starts], cnt)
+        yield p0, starts, cnt, t_ev, x_ev[e0:e1], cum_loss
 
 
 def _segment(
@@ -233,50 +270,51 @@ def _first_hitting_times(
 
 
 def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: int) -> _ChunkOut:
+    """Count one chunk's paths for every estimator of the plan.
+
+    All draws come first (``_draw_chunk``). The scan then takes blocks of
+    whole paths of about ``BLOCK_EVENTS`` expected events
+    (``_path_blocks``) and fills per-path outputs: the loss by each tail
+    probe's time, the highest post-jump excess, the first passage per
+    hitting level and the collected level's ruin time. The counts come
+    from those outputs after the last block.
+    """
     sys = plan.system
     lam, c, horizon = sys.model.rate, sys.premium_rate, plan.horizon
     rng = np.random.Generator(np.random.Philox(key=[plan.seed & (2**64 - 1), chunk_id]))
-    counts, starts, t_ev, x_ev = _draw_chunk(rng, n_paths, lam, horizon, sampler)
-    cum_all = np.cumsum(x_ev)
-    cum_loss = cum_all - np.repeat(
-        np.concatenate([[0.0], cum_all])[starts], counts
-    )
+    counts, gaps, closing, x_ev = _draw_chunk(rng, n_paths, lam, horizon, sampler)
 
-    hits = []
-    for t, x in plan.tail_probes:
-        loss_at_t = _segment(np.add, np.where(t_ev <= t, x_ev, 0.0), starts, counts, 0.0)
-        hits.append(np.count_nonzero(loss_at_t >= t * x))
+    collected = _collected(plan)
+    tail_loss = np.empty((len(plan.tail_probes), n_paths))
     # ruin by the horizon at u is a highest post-jump excess S - c*t above u
     # (the breach test of _first_ruin_times), so one peak per path serves every level
-    collected = _collected(plan)
-    peak = None
-    if plan.ruin_levels or collected:
-        peak = _segment(np.maximum, cum_loss - c * t_ev, starts, counts, -np.inf)
+    peak = np.empty(n_paths) if plan.ruin_levels or collected else None
+    first_hit = np.empty((len(plan.hitting_levels), n_paths))
+    first_ruin = np.empty(n_paths) if collected else None
+    block_paths = max(1, int(BLOCK_EVENTS / max(lam * horizon, 1.0)))
+    blocks = _path_blocks(counts, gaps, closing, x_ev, horizon, block_paths)
+    for p0, starts, cnt, t_ev, x_blk, cum_loss in blocks:
+        p = slice(p0, p0 + cnt.size)
+        for i, (t, _) in enumerate(plan.tail_probes):
+            tail_loss[i, p] = _segment(np.add, np.where(t_ev <= t, x_blk, 0.0), starts, cnt, 0.0)
+        if peak is not None:
+            peak[p] = _segment(np.maximum, cum_loss - c * t_ev, starts, cnt, -np.inf)
+        for i, u in enumerate(plan.hitting_levels):
+            first_hit[i, p] = _first_hitting_times(u, t_ev, cum_loss, starts, cnt, c, horizon)
+        for u in collected:
+            first_ruin[p] = _first_ruin_times(u, t_ev, cum_loss, starts, cnt, c)
+
+    hits = [np.count_nonzero(loss >= t * x) for (t, x), loss in zip(plan.tail_probes, tail_loss)]
     hits += [np.count_nonzero(peak > u) for u in plan.ruin_levels]
-    for u in plan.hitting_levels:
-        first = _first_hitting_times(u, t_ev, cum_loss, starts, counts, c, horizon)
-        hits.append(np.count_nonzero(np.isfinite(first)))
+    hits += [np.count_nonzero(np.isfinite(first)) for first in first_hit]
     hits += [np.count_nonzero(peak > u) for u in collected]
-
-    ruin_times = None
-    if plan.collect_ruin_times is not None:
-        first = _first_ruin_times(plan.collect_ruin_times, t_ev, cum_loss, starts, counts, c)
-        ruin_times = first[np.isfinite(first)]
-
-    count_sum = count_sq = 0.0
-    if plan.count_probe is not None:
-        n_t = _segment(np.add, (t_ev <= plan.count_probe).astype(float), starts, counts, 0.0)
-        count_sum = float(n_t.sum())
-        count_sq = float(np.dot(n_t, n_t))
-
-    return _ChunkOut(
-        np.array(hits, dtype=float), ruin_times, count_sum, count_sq, int(counts.sum())
-    )
+    ruin_times = None if first_ruin is None else first_ruin[np.isfinite(first_ruin)]
+    return _ChunkOut(np.array(hits, dtype=float), ruin_times, int(counts.sum()))
 
 
 def _resolve_chunk_paths(plan: SimulationPlan) -> int:
     if plan.chunk_paths is not None:
-        return max(1, plan.chunk_paths)
+        return plan.chunk_paths
     expected = plan.system.model.rate * plan.horizon
     return max(256, min(65536, int(2_000_000 / max(expected, 1.0))))
 
@@ -333,13 +371,6 @@ def simulate(plan: SimulationPlan) -> SimulationResult:
         "events": float(sum(o.n_events for o in outs)),
         "chunk_paths": float(chunk),
     }
-    if plan.count_probe is not None:
-        tot = sum(o.count_sum for o in outs)
-        sq = sum(o.count_sq_sum for o in outs)
-        mean = tot / n
-        var = sq / n - mean * mean
-        diagnostics[f"count_mean(t={plan.count_probe:g})"] = mean
-        diagnostics[f"count_var(t={plan.count_probe:g})"] = var * n / max(n - 1, 1)
     return SimulationResult(plan.seed, n, plan.horizon, estimates, ruin_times, diagnostics)
 
 

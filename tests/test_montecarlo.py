@@ -2,6 +2,7 @@
 replay of the vectorized engine against a slow per-path reference."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,8 @@ from collrisk import (
     ruin_times_text,
     simulate,
 )
-from collrisk.montecarlo import _draw_chunk, severity_sampler
+from collrisk import montecarlo
+from collrisk.montecarlo import _draw_chunk, _path_blocks, severity_sampler
 
 EXP_SYS = RiskSystem(CompoundModel(1.0, Exponential(1.0)), 1.25, 0.0)
 UNIT_SYS = RiskSystem(CompoundModel(1.0, PointMass(1.0)), 2.0, 0.0)
@@ -46,7 +48,6 @@ def make_plan(**kw):
         ruin_levels=(2.0,),
         hitting_levels=(1.0,),
         collect_ruin_times=2.0,
-        count_probe=10.0,
     )
     base.update(kw)
     return SimulationPlan(**base)
@@ -89,12 +90,16 @@ def test_different_seeds_differ():
 
 
 def reference_paths(plan):
-    """Replay the exact draw schedule and evaluate everything with loops."""
+    """Replay the exact draw schedule, take the whole chunk as one block and
+    split it into paths, so that the estimators can be evaluated with loops."""
     sys = plan.system
     sampler = severity_sampler(sys.model.severity)
     rng = np.random.Generator(np.random.Philox(key=[plan.seed, 0]))
-    counts, starts, t_ev, x_ev = _draw_chunk(
+    counts, gaps, closing, x_ev = _draw_chunk(
         rng, plan.n_paths, sys.model.rate, plan.horizon, sampler
+    )
+    ((_, starts, _, t_ev, _, _),) = _path_blocks(
+        counts, gaps, closing, x_ev, plan.horizon, plan.n_paths
     )
     paths = []
     for j in range(plan.n_paths):
@@ -180,6 +185,44 @@ def test_vectorized_engine_matches_reference():
             assert (result.estimates[name].value == 0.0) == (name in UNREACHED), name
 
 
+@pytest.mark.parametrize("horizon", [0.5, 30.0], ids=["mostly-empty", "long"])
+def test_block_size_does_not_change_any_bit(monkeypatch, horizon):
+    # one path per block, the default, and one block per chunk; at horizon
+    # 0.5 about 61% of the paths have no claim, so many one-path blocks are
+    # empty, and at horizon 30 the default splits each full chunk in two
+    plan = make_plan(
+        horizon=horizon, n_paths=3_000, seed=47, chunk_paths=1_300,
+        tail_probes=((horizon / 3, 1.0), (horizon, 1.5)), ruin_levels=(0.1, 2.0),
+        hitting_levels=(0.2, 1.0), collect_ruin_times=0.5,
+    )
+    runs = []
+    for block_events in (1, montecarlo.BLOCK_EVENTS, 10**9):
+        monkeypatch.setattr(montecarlo, "BLOCK_EVENTS", block_events)
+        result = simulate(plan)
+        runs.append((estimates_csv(result), result.ruin_times.tobytes(), result.diagnostics))
+    assert runs[0] == runs[1] == runs[2]
+    assert result.ruin_times.size > 0
+    assert result.estimates["hitting(u=0.2)"].value > 0.0
+
+
+def test_chunk_memory_is_linear_in_the_draws():
+    # one chunk of about 2e6 events; its draws (gaps and claim sizes) take
+    # 16 bytes per event and the path blocks add a fixed amount on top
+    plan = make_plan(
+        horizon=320.0, n_paths=6_250, seed=53,
+        tail_probes=((100.0, 1.0),), ruin_levels=(5.0,), hitting_levels=(5.0,),
+        collect_ruin_times=10.0,
+    )
+    tracemalloc.start()
+    try:
+        result = simulate(plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.diagnostics["chunk_paths"] == plan.n_paths
+    assert peak <= 32 * result.diagnostics["events"]
+
+
 def test_ruin_at_jump_and_hitting_between_jumps():
     plan = make_plan(n_paths=600, horizon=30.0, chunk_paths=600)
     result = simulate(plan)
@@ -217,19 +260,14 @@ def test_ruin_at_jump_and_hitting_between_jumps():
 
 
 def test_poisson_counts():
-    lam_t = 7.0
-    plan = SimulationPlan(
-        system=RiskSystem(CompoundModel(1.0, Exponential(1.0)), 10.0, 0.0),
-        horizon=lam_t,
-        n_paths=100_000,
-        seed=17,
-        count_probe=lam_t,
-    )
-    diag = simulate(plan).diagnostics
-    mean_se = math.sqrt(lam_t / plan.n_paths)
-    var_se = math.sqrt((2 * lam_t**2 + lam_t) / plan.n_paths)
-    assert abs(diag["count_mean(t=7)"] - lam_t) <= 3 * mean_se
-    assert abs(diag["count_var(t=7)"] - lam_t) <= 3 * var_se
+    # a chunk's path counts at rate 1 and horizon 7 are draws of N(7)
+    lam_t, n_paths = 7.0, 100_000
+    rng = np.random.Generator(np.random.Philox(key=[17, 0]))
+    counts = _draw_chunk(rng, n_paths, 1.0, lam_t, severity_sampler(Exponential(1.0)))[0]
+    mean_se = math.sqrt(lam_t / n_paths)
+    var_se = math.sqrt((2 * lam_t**2 + lam_t) / n_paths)
+    assert abs(counts.mean() - lam_t) <= 3 * mean_se
+    assert abs(counts.var(ddof=1) - lam_t) <= 3 * var_se
 
 
 def test_point_mass_tail_probe():
@@ -422,6 +460,9 @@ def test_plan_validation():
         SimulationPlan(system=EXP_SYS, horizon=0.0, n_paths=10, seed=1)
     with pytest.raises(DomainError):
         SimulationPlan(system=EXP_SYS, horizon=1.0, n_paths=0, seed=1)
+    for chunk_paths in (0, -5):
+        with pytest.raises(DomainError, match=f"chunk_paths must be >= 1, got {chunk_paths}"):
+            SimulationPlan(system=EXP_SYS, horizon=1.0, n_paths=10, seed=1, chunk_paths=chunk_paths)
 
 
 def test_estimates_csv_shape():
