@@ -116,8 +116,6 @@ class Controls:
         # checked here so that the model file's keys and the flags share the checks
         if not self.span > 0:
             raise ParseError(f"span must be positive, got {self.span}")
-        if not math.isfinite(self.span):
-            raise ParseError(f"span must be finite, got {self.span}")
         if self.n_out is not None and self.n_out < 1:
             raise ParseError(f"n_out must be positive, got {self.n_out}")
         if self.mc_paths < 1:
@@ -128,19 +126,6 @@ class Controls:
 class ModelSpec:
     system: RiskSystem
     controls: Controls
-
-
-_TOP_KEYS = {
-    "lambda",
-    "premium_rate",
-    "initial_capital",
-    "span",
-    "n_out",
-    "mc_seed",
-    "mc_paths",
-    "mc_horizon",
-}
-_SEVERITY_KEYS = {"kind", "rate", "shape", "location", "weights", "rates", "span", "file"}
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -161,59 +146,47 @@ def _parse_float_list(key: str, raw: str) -> tuple[float, ...]:
     return tuple(_parse_float(key, tok) for tok in map(str.strip, raw.split(",")) if tok)
 
 
-def _severity_from_block(block: dict[str, str], base_dir: Path) -> SeverityModel:
-    kind = block.get("kind")
-    if kind is None:
-        raise ParseError("severity block needs a 'kind' key")
-
-    def require(*keys: str) -> None:
-        missing = [k for k in keys if k not in block]
-        if missing:
-            raise ParseError(f"severity kind '{kind}' needs keys: {', '.join(missing)}")
-        extra = set(block) - {"kind", *keys}
-        if extra:
-            raise ParseError(
-                f"severity kind '{kind}' does not accept keys: {', '.join(sorted(extra))}"
-            )
-
-    try:
-        if kind == "exponential":
-            require("rate")
-            return Exponential(_parse_float("rate", block["rate"]))
-        if kind == "gamma":
-            require("shape")
-            return Gamma(_parse_float("shape", block["shape"]))
-        if kind == "point":
-            require("location")
-            return PointMass(_parse_float("location", block["location"]))
-        if kind == "mixture":
-            require("weights", "rates")
-            return MixtureOfExponentials(
-                _parse_float_list("weights", block["weights"]),
-                _parse_float_list("rates", block["rates"]),
-            )
-        if kind == "lattice":
-            require("span", "file")
-            return _lattice_from_file(
-                base_dir / block["file"], _parse_float("span", block["span"])
-            )
-    except DomainError as exc:
-        raise ParseError(f"invalid severity parameters: {exc}") from exc
-    raise ParseError(f"unknown severity kind '{kind}'")
+# model-file key -> its parser: the risk system's numbers, then the Controls fields
+_SYSTEM_KEYS = dict.fromkeys(("lambda", "premium_rate", "initial_capital"), _parse_float)
+_CONTROL_KEYS = {
+    "span": _parse_float,
+    "n_out": _parse_int,
+    "mc_seed": _parse_int,
+    "mc_paths": _parse_int,
+    "mc_horizon": _parse_float,
+}
+_TOP_KEYS = _SYSTEM_KEYS | _CONTROL_KEYS
 
 
-def _lattice_from_file(path: Path, span: float) -> Lattice:
+def _two_column_rows(
+    path: Path, file: str, row: str, columns: str
+) -> list[tuple[int, str, str]]:
+    """The ``(line number, first, second)`` rows of a two-column text file.
+
+    Blank lines and lines starting with ``#`` are skipped, and a comma
+    separates like whitespace. ``file``, ``row`` and ``columns`` name the
+    file, its rows and its columns in the error messages.
+    """
     if not path.exists():
-        raise ParseError(f"lattice file not found: {path}")
-    masses: dict[int, float] = {}
+        raise ParseError(f"{file} file not found: {path}")
+    rows = []
     for line_no, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
-            raise ParseError(f"{path}:{line_no}: expected two columns")
-        point, mass = _parse_float("point", parts[0]), _parse_float("mass", parts[1])
+            raise ParseError(f"{path}:{line_no}: expected {columns}")
+        rows.append((line_no, *parts))
+    if not rows:
+        raise ParseError(f"{path}: no {row} rows")
+    return rows
+
+
+def _lattice_from_file(span: float, path: Path) -> Lattice:
+    masses: dict[int, float] = {}
+    for line_no, raw_point, raw_mass in _two_column_rows(path, "lattice", "mass", "two columns"):
+        point, mass = _parse_float("point", raw_point), _parse_float("mass", raw_mass)
         idx = step_at(point, span)
         if idx is None or idx < 1:
             raise ParseError(
@@ -222,8 +195,6 @@ def _lattice_from_file(path: Path, span: float) -> Lattice:
         if idx in masses:
             raise ParseError(f"{path}:{line_no}: duplicate point {point}")
         masses[idx] = mass
-    if not masses:
-        raise ParseError(f"{path}: no mass rows")
     arr = np.zeros(check_cells(max(masses)))
     for idx, mass in masses.items():
         arr[idx - 1] = mass
@@ -234,6 +205,41 @@ def _lattice_from_file(path: Path, span: float) -> Lattice:
         logger.warning("lattice file %s: masses sum to %.17g, renormalizing", path, total)
         arr = arr / total
     return Lattice(span, tuple(arr))
+
+
+# severity kind -> its law and the law's keys, each with its parser, in argument order
+_SEVERITY_KINDS = {
+    "exponential": (Exponential, {"rate": _parse_float}),
+    "gamma": (Gamma, {"shape": _parse_float}),
+    "point": (PointMass, {"location": _parse_float}),
+    "mixture": (MixtureOfExponentials, {"weights": _parse_float_list, "rates": _parse_float_list}),
+    "lattice": (_lattice_from_file, {"span": _parse_float, "file": lambda _key, raw: raw}),
+}
+_SEVERITY_KEYS = {"kind"}.union(*(keys for _, keys in _SEVERITY_KINDS.values()))
+
+
+def _severity_from_block(block: dict[str, str], base_dir: Path) -> SeverityModel:
+    kind = block.get("kind")
+    if kind is None:
+        raise ParseError("severity block needs a 'kind' key")
+    if kind not in _SEVERITY_KINDS:
+        raise ParseError(f"unknown severity kind '{kind}'")
+    law, keys = _SEVERITY_KINDS[kind]
+    missing = [k for k in keys if k not in block]
+    if missing:
+        raise ParseError(f"severity kind '{kind}' needs keys: {', '.join(missing)}")
+    extra = set(block) - {"kind", *keys}
+    if extra:
+        raise ParseError(
+            f"severity kind '{kind}' does not accept keys: {', '.join(sorted(extra))}"
+        )
+    args = [parse(key, block[key]) for key, parse in keys.items()]
+    if kind == "lattice":  # the file name is relative to the model file's directory
+        args[1] = base_dir / args[1]
+    try:
+        return law(*args)
+    except DomainError as exc:
+        raise ParseError(f"invalid severity parameters: {exc}") from exc
 
 
 def parse_model_text(text: str, base_dir: Path) -> ModelSpec:
@@ -278,28 +284,16 @@ def parse_model_text(text: str, base_dir: Path) -> ModelSpec:
     if sev_block is None:
         raise ParseError("missing severity block")
 
+    def parsed(table: dict) -> dict:
+        return {key: parse(key, top[key]) for key, parse in table.items() if key in top}
+
     severity = _severity_from_block(sev_block, base_dir)
+    numbers = parsed(_SYSTEM_KEYS)
     try:
-        system = RiskSystem(
-            CompoundModel(_parse_float("lambda", top["lambda"]), severity),
-            _parse_float("premium_rate", top["premium_rate"]),
-            _parse_float("initial_capital", top.get("initial_capital", "0")),
-        )
+        system = RiskSystem(CompoundModel(numbers.pop("lambda"), severity), **numbers)
     except DomainError as exc:
         raise ParseError(f"invalid model parameters: {exc}") from exc
-
-    controls = Controls(
-        span=_parse_float("span", top["span"]) if "span" in top else Controls.span,
-        n_out=_parse_int("n_out", top["n_out"]) if "n_out" in top else None,
-        mc_seed=_parse_int("mc_seed", top["mc_seed"]) if "mc_seed" in top else Controls.mc_seed,
-        mc_paths=(
-            _parse_int("mc_paths", top["mc_paths"]) if "mc_paths" in top else Controls.mc_paths
-        ),
-        mc_horizon=(
-            _parse_float("mc_horizon", top["mc_horizon"]) if "mc_horizon" in top else None
-        ),
-    )
-    return ModelSpec(system, controls)
+    return ModelSpec(system, Controls(**parsed(_CONTROL_KEYS)))
 
 
 def parse_model_file(path: str | Path) -> ModelSpec:
@@ -374,12 +368,14 @@ def cmd_tail(spec: ModelSpec, args: argparse.Namespace) -> str:
     bound = chernoff_bound(model, t, x)
     rows.append(("chernoff", t, x, bound.bound, None, bound.side))
 
+    # a lattice law fixes both the Esscher form and the panjer span
+    span = model.severity.lattice_span
     mean_rate = model.mean_rate
     if abs(x - mean_rate) <= 1e-12 * max(1.0, mean_rate):
         rows.append(("esscher", t, x, None, None, "mean-rate: no positive tilt"))
     elif x < mean_rate:
         rows.append(("esscher", t, x, None, None, "below the mean rate"))
-    elif model.severity.lattice_span is not None:
+    elif span is not None:
         tail = esscher_tail_lattice(model, t, x)
         note = "degenerate: a*sigma < 1" if tail.degenerate else "span-corrected"
         rows.append(("esscher", t, x, tail.value, None, note))
@@ -390,7 +386,6 @@ def cmd_tail(spec: ModelSpec, args: argparse.Namespace) -> str:
         rows.append(("esscher", t, x, tail.value, None, note))
         rows.append(("esscher-explicit", t, x, tail.value_explicit, None, "expanded prefactor"))
 
-    span = model.severity.lattice_span
     note = "exact"
     if span is None:
         span = controls.span
@@ -457,7 +452,7 @@ def cmd_ruin(spec: ModelSpec, args: argparse.Namespace) -> str:
     if args.mc:
         horizon = controls.mc_horizon
         if horizon is None:
-            horizon = 5.0 * max(u_list) * sol.time_scale
+            horizon = montecarlo.default_horizon(system, max(u_list))
             if horizon == 0.0:
                 raise DomainError("every capital is 0, so the default horizon is 0; "
                                   "pass --horizon")
@@ -498,7 +493,7 @@ def cmd_ruin_time(spec: ModelSpec, args: argparse.Namespace) -> str:
     if args.mc:
         horizon = controls.mc_horizon
         if horizon is None:
-            horizon = 5.0 * u * sol.time_scale
+            horizon = montecarlo.default_horizon(system, u)
         study = montecarlo.ruin_time_samples(_plan(system, controls, horizon, args.workers,
                                                    collect_ruin_times=u))
         if args.dump is not None:
@@ -541,22 +536,13 @@ def cmd_seal(spec: ModelSpec, args: argparse.Namespace) -> str:
 
 
 def _parse_policies(path: Path) -> Portfolio:
-    if not path.exists():
-        raise ParseError(f"policy file not found: {path}")
     policies = []
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{line_no}: expected 'sum_at_risk, probability'")
+    columns = "'sum_at_risk, probability'"
+    for line_no, sum_at_risk, probability in _two_column_rows(path, "policy", "policy", columns):
         try:
-            policies.append(Policy(float(parts[0]), float(parts[1])))
+            policies.append(Policy(float(sum_at_risk), float(probability)))
         except (ValueError, DomainError) as exc:
             raise ParseError(f"{path}:{line_no}: {exc}") from exc
-    if not policies:
-        raise ParseError(f"{path}: no policy rows")
     return Portfolio(tuple(policies))
 
 
@@ -595,7 +581,7 @@ def cmd_portfolio(args: argparse.Namespace) -> str:
 def _add_common(parser: argparse.ArgumentParser, mc: bool = True) -> None:
     parser.add_argument("--format", choices=["table", "csv"], default="table",
                         help="output format (csv is headerless, documented column order)")
-    parser.add_argument("--span", type=float, default=None,
+    parser.add_argument("--span", type=_finite, default=None,
                         help="override the discretization span from the model file")
     if mc:
         parser.add_argument("--mc", action="store_true", help="add Monte Carlo estimates")

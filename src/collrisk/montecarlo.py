@@ -41,6 +41,7 @@ __all__ = [
     "RuinTimeStudy",
     "simulate",
     "ruin_time_samples",
+    "default_horizon",
     "severity_sampler",
     "estimates_csv",
     "ruin_times_text",
@@ -220,22 +221,6 @@ def _segment(
     return out
 
 
-def _first_ruin_times(
-    u: float,
-    t_ev: np.ndarray,
-    cum_loss: np.ndarray,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    premium: float,
-) -> np.ndarray:
-    """First jump epoch with S - c*t > u per path (inf when none).
-
-    Ruin can only happen at a jump, so checking the post-jump values is
-    exact."""
-    breach = cum_loss - premium * t_ev > u
-    return _segment(np.minimum, np.where(breach, t_ev, np.inf), starts, counts, np.inf)
-
-
 def _first_hitting_times(
     u: float,
     t_ev: np.ndarray,
@@ -276,8 +261,10 @@ def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: i
     whole paths of about ``BLOCK_EVENTS`` expected events
     (``_path_blocks``) and fills per-path outputs: the loss by each tail
     probe's time, the highest post-jump excess, the first passage per
-    hitting level and the collected level's ruin time. The counts come
-    from those outputs after the last block.
+    hitting level and the collected level's ruin time (the first jump
+    epoch whose excess S - c*t is above the level; ruin can only happen
+    at a jump, so checking the post-jump values is exact). The counts
+    come from those outputs after the last block.
     """
     sys = plan.system
     lam, c, horizon = sys.model.rate, sys.premium_rate, plan.horizon
@@ -286,8 +273,8 @@ def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: i
 
     collected = _collected(plan)
     tail_loss = np.empty((len(plan.tail_probes), n_paths))
-    # ruin by the horizon at u is a highest post-jump excess S - c*t above u
-    # (the breach test of _first_ruin_times), so one peak per path serves every level
+    # ruin by the horizon at u is a highest post-jump excess S - c*t above u,
+    # so one peak per path serves every level
     peak = np.empty(n_paths) if plan.ruin_levels or collected else None
     first_hit = np.empty((len(plan.hitting_levels), n_paths))
     first_ruin = np.empty(n_paths) if collected else None
@@ -297,12 +284,14 @@ def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: i
         p = slice(p0, p0 + cnt.size)
         for i, (t, _) in enumerate(plan.tail_probes):
             tail_loss[i, p] = _segment(np.add, np.where(t_ev <= t, x_blk, 0.0), starts, cnt, 0.0)
-        if peak is not None:
-            peak[p] = _segment(np.maximum, cum_loss - c * t_ev, starts, cnt, -np.inf)
         for i, u in enumerate(plan.hitting_levels):
             first_hit[i, p] = _first_hitting_times(u, t_ev, cum_loss, starts, cnt, c, horizon)
-        for u in collected:
-            first_ruin[p] = _first_ruin_times(u, t_ev, cum_loss, starts, cnt, c)
+        if peak is not None:
+            excess = cum_loss - c * t_ev
+            peak[p] = _segment(np.maximum, excess, starts, cnt, -np.inf)
+            for u in collected:
+                breach = np.where(excess > u, t_ev, np.inf)
+                first_ruin[p] = _segment(np.minimum, breach, starts, cnt, np.inf)
 
     hits = [np.count_nonzero(loss >= t * x) for (t, x), loss in zip(plan.tail_probes, tail_loss)]
     hits += [np.count_nonzero(peak > u) for u in plan.ruin_levels]
@@ -401,6 +390,13 @@ class RuinTimeStudy:
     pre_asymptotic: bool
 
 
+def default_horizon(system: RiskSystem, u: float) -> float:
+    """Five asymptotic mean ruin times 5*u*tbar at capital u: the horizon a
+    Monte Carlo command uses unless one is given, and the shortest that
+    ``ruin_time_samples`` accepts."""
+    return 5.0 * u * lundberg(system).time_scale
+
+
 def ruin_time_samples(plan: SimulationPlan) -> RuinTimeStudy:
     """Simulate and summarize T(u) among ruined paths.
 
@@ -417,11 +413,9 @@ def ruin_time_samples(plan: SimulationPlan) -> RuinTimeStudy:
     u = plan.collect_ruin_times
     plan.system._require_positive_loading("the ruin-time study")
     sol = lundberg(plan.system)
-    if plan.horizon < 5.0 * u * sol.time_scale * (1.0 - 1e-12):
-        raise DomainError(
-            f"horizon {plan.horizon} is below five mean ruin times "
-            f"{5.0 * u * sol.time_scale:g}"
-        )
+    shortest = default_horizon(plan.system, u)
+    if plan.horizon < shortest * (1.0 - 1e-12):
+        raise DomainError(f"horizon {plan.horizon} is below five mean ruin times {shortest:g}")
     result = simulate(plan)
     times = result.ruin_times
     if times.size < 100:

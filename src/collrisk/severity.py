@@ -343,10 +343,10 @@ class MixtureOfExponentials(SeverityModel):
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         w, rates = self._arrays
-        comp = np.minimum(
-            np.searchsorted(np.cumsum(w), rng.random(n), side="right"), rates.size - 1
-        )
-        return exponential_draws(rng, n, rates[comp])
+        comp = np.searchsorted(np.cumsum(w), rng.random(n), side="right")
+        rate = rates[np.minimum(comp, rates.size - 1, out=comp)]
+        del comp  # released before the draws
+        return exponential_draws(rng, n, rate)
 
 
 @dataclass(frozen=True)
@@ -417,12 +417,16 @@ class Lattice(SeverityModel):
         return _alias_table(self._cells[1])
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        # each step in place: v becomes the fraction past the cell, then the claim
         prob, alias = self._alias
-        v = rng.random(n) * prob.size
+        v = rng.random(n)
+        v *= prob.size
         idx = v.astype(np.int64)
-        frac = v - idx
-        chosen = np.where(frac < prob[idx], idx, alias[idx])
-        return (chosen + 1) * self.span
+        v -= idx
+        past = v >= prob[idx]  # prob[idx] goes before alias[idx] is gathered
+        np.copyto(idx, alias[idx], where=past)
+        idx += 1
+        return np.multiply(idx, self.span, out=v)
 
 
 def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

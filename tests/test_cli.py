@@ -160,6 +160,85 @@ def test_parse_model_file_missing():
         parse_model_file("/no/such/file.model")
 
 
+def _model_with_severity(block):
+    lines = "".join(f"    {key} = {value}\n" for key, value in block.items())
+    return f"lambda = 1\npremium_rate = 3\nseverity {{\n{lines}}}\n"
+
+
+_SEVERITY_BLOCKS = {  # kind -> (its keys in order, a severity key it does not take)
+    "exponential": ({"rate": "1.0"}, "shape"),
+    "gamma": ({"shape": "2.5"}, "rate"),
+    "point": ({"location": "1.0"}, "rate"),
+    "mixture": ({"weights": "0.5, 0.5", "rates": "1, 2"}, "rate"),
+    "lattice": ({"span": "0.5", "file": "sev.txt"}, "rate"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_SEVERITY_BLOCKS))
+def test_severity_block_messages(tmp_path, kind):
+    (tmp_path / "sev.txt").write_text("0.5 1.0\n")
+    keys, foreign = _SEVERITY_BLOCKS[kind]
+    block = {"kind": kind, **keys}
+    parse_model_text(_model_with_severity(block), tmp_path)
+
+    def message(changed):
+        with pytest.raises(ParseError) as exc:
+            parse_model_text(_model_with_severity(changed), tmp_path)
+        return str(exc.value)
+
+    last = list(keys)[-1]
+    assert message({k: v for k, v in block.items() if k != last}) == (
+        f"severity kind '{kind}' needs keys: {last}")
+    assert message({"kind": kind}) == f"severity kind '{kind}' needs keys: {', '.join(keys)}"
+    assert message({**block, foreign: "1"}) == (
+        f"severity kind '{kind}' does not accept keys: {foreign}")
+    assert message({**block, "kind": kind + "s"}) == f"unknown severity kind '{kind}s'"
+    assert message(keys) == "severity block needs a 'kind' key"
+
+
+def _read_two_column(which, path):
+    """The lattice severity (span 0.5) or the portfolio read from ``path``."""
+    if which == "policy":
+        return cli._parse_policies(path)
+    block = {"kind": "lattice", "span": "0.5", "file": path.name}
+    return parse_model_text(_model_with_severity(block), path.parent).system.model.severity
+
+
+@pytest.mark.parametrize(
+    "which, missing, three_columns, no_rows",
+    [
+        ("lattice", "lattice file not found: {path}", "{path}:2: expected two columns",
+         "{path}: no mass rows"),
+        ("policy", "policy file not found: {path}",
+         "{path}:2: expected 'sum_at_risk, probability'", "{path}: no policy rows"),
+    ],
+)
+def test_two_column_file_messages(tmp_path, which, missing, three_columns, no_rows):
+    path = tmp_path / "rows.txt"
+
+    def message():
+        with pytest.raises(ParseError) as exc:
+            _read_two_column(which, path)
+        return str(exc.value)
+
+    assert message() == missing.format(path=path)
+    path.write_text("0.5 0.5\n1.0 0.25 0.25\n")
+    assert message() == three_columns.format(path=path)
+    path.write_text("# comments only\n\n   # and blank lines\n")
+    assert message() == no_rows.format(path=path)
+
+
+@pytest.mark.parametrize("which", ["lattice", "policy"])
+def test_two_column_file_skips_blank_and_comment_lines(tmp_path, which):
+    path = tmp_path / "rows.txt"
+    path.write_text("# header\n\n0.5, 0.25\n   \n  # note\n1.0 0.75\n")
+    read = _read_two_column(which, path)
+    if which == "policy":
+        assert read == cumulant.Portfolio((cumulant.Policy(0.5, 0.25), cumulant.Policy(1.0, 0.75)))
+    else:
+        assert read.masses == (0.25, 0.75)
+
+
 # ---------------------------------------------------------------------------
 # tail command
 # ---------------------------------------------------------------------------
@@ -438,7 +517,7 @@ _MODEL_SPAN_ARGV = [
 _SPAN_COMMANDS = pytest.mark.parametrize("argv", _MODEL_SPAN_ARGV, ids=lambda argv: argv[0])
 
 
-@pytest.mark.parametrize("span", ["0", "-0.01", "inf"])
+@pytest.mark.parametrize("span", ["0", "-0.01"])
 @pytest.mark.parametrize(
     "argv", [*_MODEL_SPAN_ARGV, ["portfolio", "--x", "1,3"]], ids=lambda argv: argv[0]
 )
@@ -448,8 +527,7 @@ def test_nonpositive_span_flag_is_a_parse_error(exp_model, tmp_path, capsys, arg
     path = policies if argv[0] == "portfolio" else exp_model
     code, out = run([argv[0], str(path), *argv[1:], "--span", span])
     assert (code, out) == (2, "")
-    problem = "finite" if span == "inf" else "positive"
-    assert f"span must be {problem}, got {float(span)}" in capsys.readouterr().err
+    assert f"span must be positive, got {float(span)}" in capsys.readouterr().err
 
 
 @_SPAN_COMMANDS
@@ -519,6 +597,12 @@ def test_tail_past_the_gamma_abscissa_names_the_level(tmp_path, capsys):
         (["ruin-time", "--u", "inf"], "--u"),
         (["ruin-time", "--u", "2", "--t", "1,-inf"], "--t"),
         (["portfolio", "--x", "inf"], "--x"),
+        (["tail", "--t", "2", "--x", "1.5", "--span", "inf"], "--span"),
+        (["ruin", "--u", "1", "--span", "inf"], "--span"),
+        (["ruin", "--u", "1", "--span", "nan"], "--span"),
+        (["seal", "--u", "1", "--t", "4", "--span", "inf"], "--span"),
+        (["portfolio", "--x", "1,3", "--span", "inf"], "--span"),
+        (["portfolio", "--x", "1,3", "--span", "nan"], "--span"),
     ],
     ids=lambda v: "-".join(v) if isinstance(v, list) else v,
 )
@@ -753,6 +837,27 @@ def test_ruin_mc_at_zero_capital_needs_a_horizon(exp_model, capsys):
                      "--format", "csv"])
     assert code == 0
     assert csv_rows(out)[-1][:3] == ["monte-carlo", "0", "5"]
+
+
+def test_zero_horizon_flag_is_not_replaced_by_the_default(exp_model, capsys):
+    code, out = run(["ruin", exp_model, "--u", "1", "--mc", "--horizon", "0"])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: horizon must be positive, got 0.0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, u", [(["ruin", "--u", "0,2"], 2.0), (["ruin-time", "--u", "5"], 5.0)],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_default_horizon_is_five_mean_ruin_times(exp_model, argv, u):
+    # ruin-time exits 0 only when ruin_time_samples accepts the horizon
+    horizon = 5.0 * u * ruin.lundberg(parse_model_file(exp_model).system).time_scale
+    call = [argv[0], exp_model, *argv[1:], "--mc", "--format", "csv"]
+    code, out = run(call)
+    assert code == 0
+    mc_rows = [row for row in csv_rows(out) if row[0].startswith(("mc-", "monte-carlo"))]
+    assert mc_rows and all(row[2] == f"{horizon:.12g}" for row in mc_rows)
+    assert run([*call, "--horizon", repr(horizon)]) == (0, out)
 
 
 @pytest.mark.parametrize("extra", [[], ["--absolute"]])

@@ -207,20 +207,25 @@ def test_block_size_does_not_change_any_bit(monkeypatch, horizon):
 
 def test_chunk_memory_is_linear_in_the_draws():
     # one chunk of about 2e6 events; its draws (gaps and claim sizes) take
-    # 16 bytes per event and the path blocks add a fixed amount on top
-    plan = make_plan(
-        horizon=320.0, n_paths=6_250, seed=53,
-        tail_probes=((100.0, 1.0),), ruin_levels=(5.0,), hitting_levels=(5.0,),
-        collect_ruin_times=10.0,
-    )
-    tracemalloc.start()
-    try:
-        result = simulate(plan)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.diagnostics["chunk_paths"] == plan.n_paths
-    assert peak <= 32 * result.diagnostics["events"]
+    # 16 bytes per event and the path blocks add a fixed amount on top; the
+    # lattice and mixture samplers hold a few more arrays while they draw
+    lattice = Lattice(0.25, (0.1, 0.2, 0.3, 0.25, 0.15))
+    mixture = MixtureOfExponentials((0.4, 0.6), (0.5, 2.0))
+    for severity, bytes_per_event in ((Exponential(1.0), 32), (lattice, 40), (mixture, 28)):
+        plan = make_plan(
+            system=RiskSystem(CompoundModel(1.0, severity), 1.25, 0.0),
+            horizon=320.0, n_paths=6_250, seed=53,
+            tail_probes=((100.0, 1.0),), ruin_levels=(5.0,), hitting_levels=(5.0,),
+            collect_ruin_times=10.0,
+        )
+        tracemalloc.start()
+        try:
+            result = simulate(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.diagnostics["chunk_paths"] == plan.n_paths
+        assert peak <= bytes_per_event * result.diagnostics["events"], severity
 
 
 def test_ruin_at_jump_and_hitting_between_jumps():
