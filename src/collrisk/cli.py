@@ -118,6 +118,8 @@ class Controls:
             raise ParseError(f"span must be positive, got {self.span}")
         if self.n_out is not None and self.n_out < 1:
             raise ParseError(f"n_out must be positive, got {self.n_out}")
+        if not 0 <= self.mc_seed < 2**64:
+            raise ParseError(f"mc_seed must lie in [0, 2**64), got {self.mc_seed}")
         if self.mc_paths < 1:
             raise ParseError(f"mc_paths must be positive, got {self.mc_paths}")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg import get_lapack_funcs, toeplitz
 
 from .errors import DomainError, GridError, ParseError, UnderflowWarning
 
@@ -27,8 +27,10 @@ _MASS_TOL = 1e-12
 # work values above this trigger a rescale in the scaled recursion
 _RESCALE_AT = 1e280
 _RESCALE_LOG = 600.0
-# cells per block of the recursion: one correlation and one triangular solve each
+# cells per block of the recursion: one correlation and one LAPACK triangular solve each
 _BLOCK = 64
+# LAPACK dtrtrs, looked up once: the routine scipy.linalg.solve_triangular calls
+(_TRTRS,) = get_lapack_funcs(("trtrs",), (np.empty((1, 1)),))
 MAX_CELLS = 10**7  # most cells past the origin that any lattice array may hold
 
 
@@ -242,6 +244,12 @@ def _recurse(
     terms and each w keeps a relative error of a few ulps. A block of one
     cell is the cell rule w_n = a_n h_n.
 
+    Each block is one direct LAPACK ``dtrtrs`` call on the transpose of the
+    C-ordered block matrix (upper, transposed, unit diagonal): the routine,
+    flags and memory that ``scipy.linalg.solve_triangular`` passes for it,
+    without that wrapper's per-call validation and dispatch. The block
+    matrix is written into one buffer per call.
+
     The work runs on mantissas that share one exponent: whenever a cell
     passes 1e280 the whole prefix is scaled down by e^-600, so a seed far
     below the double range still carries the recursion. A block whose
@@ -258,7 +266,8 @@ def _recurse(
     size = min(_BLOCK, n_out)
     col = np.zeros(size)
     col[: min(size, coef.size)] = coef[:size]
-    coupling = toeplitz(col, np.zeros(size))
+    neg_coupling = -toeplitz(col, np.zeros(size))
+    buf = np.empty(size * size)
     history = coef[:0:-1]
     n = 1
     while n <= n_out:
@@ -266,9 +275,12 @@ def _recurse(
         while True:
             a_blk = steps[n - 1 : n - 1 + b]
             h = np.correlate(work[n : n + n_coef + b - 1], history, "valid")
-            # unit_diagonal: the coef_0 diagonal of T is never read
-            w = solve_triangular(-a_blk[:, None] * coupling[:b, :b], a_blk * h,
-                                 lower=True, unit_diagonal=True, check_finite=False)
+            # I - diag(a) T, C-ordered; its transpose is the Fortran-ordered upper
+            # matrix, and the coef_0 diagonal is never read (unit diagonal)
+            m = np.multiply(a_blk[:, None], neg_coupling[:b, :b], out=buf[: b * b].reshape(b, b))
+            w, info = _TRTRS(m.T, a_blk * h, lower=0, trans=1, unitdiag=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"LAPACK dtrtrs failed with info {info}")
             if b == 1 or w.max() <= _RESCALE_AT:
                 break
             b //= 2

@@ -97,6 +97,8 @@ class SimulationPlan:
     def __post_init__(self):
         if self.n_paths < 1:
             raise DomainError(f"need at least one path, got {self.n_paths}")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not self.horizon > 0.0:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
         if self.workers < 1:
@@ -268,7 +270,9 @@ def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: i
     """
     sys = plan.system
     lam, c, horizon = sys.model.rate, sys.premium_rate, plan.horizon
-    rng = np.random.Generator(np.random.Philox(key=[plan.seed & (2**64 - 1), chunk_id]))
+    # uint64 words: a list holding a seed past 2**63 would become a float64 array
+    key = np.array([plan.seed, chunk_id], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     counts, gaps, closing, x_ev = _draw_chunk(rng, n_paths, lam, horizon, sampler)
 
     collected = _collected(plan)

@@ -152,6 +152,11 @@ class Exponential(SeverityModel):
     def sf(self, x: float) -> float:
         return math.exp(-self.rate * x) if x > 0 else 1.0
 
+    def _sf_array(self, x: np.ndarray) -> np.ndarray:
+        # math.exp per point, as sf takes it: numpy's exp may round differently
+        e = map(math.exp, (-self.rate * x).tolist())
+        return np.where(x > 0, np.fromiter(e, float, x.size), 1.0)
+
     def tilt(self, a: float) -> "Exponential":
         self._check_tilt(a)
         return Exponential(self.rate - a)

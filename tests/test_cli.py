@@ -503,6 +503,25 @@ def test_worker_count_invariance(exp_model):
     assert out1 == out8
 
 
+@pytest.mark.parametrize("seed", ["-3", str(2**64)])
+def test_seed_outside_the_key_range_is_a_parse_error(exp_model, tmp_path, capsys, seed):
+    line = f"error: mc_seed must lie in [0, 2**64), got {seed}\n"
+    code, out = run(["ruin", exp_model, "--u", "1", "--mc", "--seed", seed])
+    assert (code, out, capsys.readouterr().err) == (2, "", line)
+    model = tmp_path / "seed.model"
+    model.write_text(EXP_MODEL_TEXT.replace("mc_seed = 42", f"mc_seed = {seed}"))
+    code, out = run(["ruin", str(model), "--u", "1", "--mc"])
+    assert (code, out, capsys.readouterr().err) == (2, "", line)
+
+
+def test_seeds_past_2_to_the_63_run_their_own_streams(exp_model):
+    argv = ["ruin", exp_model, "--u", "1", "--mc", "--paths", "2000", "--format", "csv"]
+    outputs = [run([*argv, "--seed", seed]) for seed in ("9223372036854775808",
+                                                        "9223372036854775813", "0")]
+    assert all(code == 0 for code, _ in outputs)
+    assert len({out for _, out in outputs}) == 3
+
+
 def test_flag_overrides_file(exp_model):
     _, coarse = run(["ruin", exp_model, "--u", "5", "--format", "csv"])
     _, fine = run(["ruin", exp_model, "--u", "5", "--format", "csv", "--span", "0.005"])

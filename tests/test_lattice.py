@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import solve_triangular, toeplitz
 
 from collrisk import (
     CompoundModel,
@@ -27,6 +28,7 @@ from collrisk import (
     ruin_panjer,
     suggest_truncation,
 )
+from collrisk import lattice as lattice_module
 from collrisk.lattice import MAX_CELLS, _recurse, first_step, step_at, steps_within
 
 
@@ -255,16 +257,20 @@ def test_compound_geometric_domain():
 # ---------------------------------------------------------------------------
 
 
-def check_kernel(n_coef, n_out, panjer_shape, rate, r, sparsity, seed):
+def kernel_args(n_coef, n_out, panjer_shape, rate, r, sparsity, seed):
+    """``_recurse`` arguments for random coefficients of either recursion."""
     rng = np.random.default_rng(seed)
     f = rng.random(n_coef + 1) * (rng.random(n_coef + 1) >= sparsity)
     f[0] = 0.0
     f[-1] += f.sum() == 0.0
     f /= f.sum()
     if panjer_shape:  # n*g_n = rate * sum_x x*f_x*g_{n-x}
-        args = (np.arange(f.size) * f, rate / np.arange(1, n_out + 1), 1.0, -rate)
-    else:  # l_n = r * sum_x k_x*l_{n-x}
-        args = (f, np.full(n_out, r), 1.0 - r, 0.0)
+        return (np.arange(f.size) * f, rate / np.arange(1, n_out + 1), 1.0, -rate)
+    return (f, np.full(n_out, r), 1.0 - r, 0.0)  # l_n = r * sum_x k_x*l_{n-x}
+
+
+def check_kernel(n_coef, n_out, panjer_shape, rate, r, sparsity, seed):
+    args = kernel_args(n_coef, n_out, panjer_shape, rate, r, sparsity, seed)
     masses, _ = _recurse(*args)
     # from rate 700 on, both sides return exp(log w + log_scale); rounding log w
     # (about 650) to its ulp costs up to 1.1e-13 relative, so the gate widens there
@@ -294,6 +300,91 @@ def test_kernel_matches_cell_rule(n_coef, n_out, panjer_shape, rate, r, sparsity
 @pytest.mark.parametrize("n_coef", [1, 5, 64, 299])
 def test_kernel_matches_cell_rule_at_block_edges(n_coef, n_out, panjer_shape):
     check_kernel(n_coef, n_out, panjer_shape, rate=4.0, r=0.7, sparsity=0.3, seed=n_out)
+
+
+def solve_triangular_recurse(coef, steps, seed, log_seed):
+    """``_recurse`` with each block solved by ``scipy.linalg.solve_triangular``.
+
+    The same blocks, halving and rescales, with a fresh block matrix
+    -a[:, None] * T per block and scipy's checked wrapper around LAPACK:
+    the reference for the bits of the direct LAPACK call.
+    """
+    n_out, n_coef = steps.size, coef.size - 1
+    work = np.zeros(n_coef + n_out + 1)
+    work[n_coef] = seed
+    log_scale, rescales = log_seed, 0
+    size = min(lattice_module._BLOCK, n_out)
+    col = np.zeros(size)
+    col[: min(size, coef.size)] = coef[:size]
+    coupling = toeplitz(col, np.zeros(size))
+    history = coef[:0:-1]
+    n = 1
+    while n <= n_out:
+        b = min(size, n_out + 1 - n)
+        while True:
+            a_blk = steps[n - 1 : n - 1 + b]
+            h = np.correlate(work[n : n + n_coef + b - 1], history, "valid")
+            w = solve_triangular(-a_blk[:, None] * coupling[:b, :b], a_blk * h,
+                                 lower=True, unit_diagonal=True, check_finite=False)
+            if b == 1 or w.max() <= lattice_module._RESCALE_AT:
+                break
+            b //= 2
+        n += b
+        work[n_coef + n - b : n_coef + n] = w
+        if w[-1] > lattice_module._RESCALE_AT:
+            work[: n_coef + n] *= math.exp(-lattice_module._RESCALE_LOG)
+            log_scale += lattice_module._RESCALE_LOG
+            rescales += 1
+    work = work[n_coef:]
+    if log_scale > -700.0:
+        return work * math.exp(log_scale), rescales
+    with np.errstate(divide="ignore"):
+        scaled = np.where(work > 0.0, np.exp(np.log(np.maximum(work, 1e-320)) + log_scale), 0.0)
+    return scaled, rescales
+
+
+@settings(max_examples=80, deadline=None)
+@example(n_coef=1, n_out=400, panjer_shape=True, rate=3000.0, r=0.5, sparsity=0.0, seed=0)
+@example(n_coef=3, n_out=400, panjer_shape=True, rate=3000.0, r=0.5, sparsity=0.3, seed=1)
+@example(n_coef=300, n_out=1, panjer_shape=False, rate=1.0, r=0.99, sparsity=0.0, seed=2)
+@given(
+    n_coef=st.integers(1, 300),
+    n_out=st.integers(1, 400),
+    panjer_shape=st.booleans(),
+    rate=st.floats(0.01, 3000.0),
+    r=st.floats(0.01, 0.99),
+    sparsity=st.floats(0.0, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_bits_are_the_solve_triangular_bits(
+    n_coef, n_out, panjer_shape, rate, r, sparsity, seed
+):
+    args = kernel_args(n_coef, n_out, panjer_shape, rate, r, sparsity, seed)
+    masses, rescales = _recurse(*args)
+    ref_masses, ref_rescales = solve_triangular_recurse(*args)
+    assert np.array_equal(masses, ref_masses)
+    assert rescales == ref_rescales
+
+
+def test_kernel_raises_when_lapack_reports_a_failure(monkeypatch):
+    monkeypatch.setattr(lattice_module, "_TRTRS", lambda a, b, **flags: (b.copy(), 1))
+    with pytest.raises(np.linalg.LinAlgError, match="info 1"):
+        compound_geometric(0.5, lattice(1.0, [0.0, 0.5, 0.5]), 10)
+
+
+@pytest.mark.parametrize("n_out", [1, 63, 64, 65, 1000])
+def test_kernel_makes_one_lapack_call_per_block(monkeypatch, n_out):
+    calls = []
+    trtrs = lattice_module._TRTRS
+
+    def counted(a, b, **flags):
+        calls.append(b.size)
+        return trtrs(a, b, **flags)
+
+    monkeypatch.setattr(lattice_module, "_TRTRS", counted)
+    agg = panjer(3.0, lattice(1.0, [0.0, 0.2, 0.3, 0.5]), n_out)
+    assert agg.rescales == 0
+    assert len(calls) == math.ceil(n_out / 64)
 
 
 @pytest.fixture(scope="module")

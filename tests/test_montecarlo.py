@@ -84,6 +84,20 @@ def test_different_seeds_differ():
     )
 
 
+@pytest.mark.parametrize("seed", [-1, -3, 2**64, 2**70])
+def test_plan_refuses_a_seed_outside_the_key_range(seed):
+    with pytest.raises(DomainError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
+        make_plan(seed=seed)
+
+
+def test_seeds_past_2_to_the_63_have_their_own_streams():
+    # a key list holding such a seed is a float64 array, under which nearby seeds share a stream
+    small = dict(n_paths=2_000, horizon=10.0)
+    results = [simulate(make_plan(seed=s, **small)) for s in (2**63, 2**63 + 5, 2**64 - 1, 0)]
+    streams = {tuple(est.value for est in r.estimates.values()) for r in results}
+    assert len(streams) == 4
+
+
 # ---------------------------------------------------------------------------
 # slow per-path reference of the vectorized engine
 # ---------------------------------------------------------------------------
