@@ -32,7 +32,6 @@ from .errors import (
     DomainError,
     GridError,
     InsufficientRuinsError,
-    LatticeSeverityError,
     LoadingError,
     NoRootError,
     ParseError,

@@ -25,7 +25,7 @@ from .cumulant import (
     Portfolio,
     chernoff_bound,
     esscher_tail,
-    esscher_tail_lattice,
+    esscher_tail_lattice,  # noqa: F401  the benchmark's tracer patches it here
     portfolio_exact_tail,
     portfolio_to_compound,
 )
@@ -370,24 +370,21 @@ def cmd_tail(spec: ModelSpec, args: argparse.Namespace) -> str:
     bound = chernoff_bound(model, t, x)
     rows.append(("chernoff", t, x, bound.bound, None, bound.side))
 
-    # a lattice law fixes both the Esscher form and the panjer span
-    span = model.severity.lattice_span
-    mean_rate = model.mean_rate
-    if abs(x - mean_rate) <= 1e-12 * max(1.0, mean_rate):
+    if bound.point.tilt == 0.0:
         rows.append(("esscher", t, x, None, None, "mean-rate: no positive tilt"))
-    elif x < mean_rate:
+    elif bound.side == "lower-tail":
         rows.append(("esscher", t, x, None, None, "below the mean rate"))
-    elif span is not None:
-        tail = esscher_tail_lattice(model, t, x)
-        note = "degenerate: a*sigma < 1" if tail.degenerate else "span-corrected"
-        rows.append(("esscher", t, x, tail.value, None, note))
-        rows.append(("esscher-explicit", t, x, tail.value_explicit, None, "modified prefactor"))
     else:
         tail = esscher_tail(model, t, x)
-        note = "degenerate: a*sigma < 1" if tail.degenerate else "continuous"
-        rows.append(("esscher", t, x, tail.value, None, note))
-        rows.append(("esscher-explicit", t, x, tail.value_explicit, None, "expanded prefactor"))
+        lattice = tail.span_correction is not None
+        note = "span-corrected" if lattice else "continuous"
+        rows.append(("esscher", t, x, tail.value, None,
+                     "degenerate: a*sigma < 1" if tail.degenerate else note))
+        prefactor = "modified prefactor" if lattice else "expanded prefactor"
+        rows.append(("esscher-explicit", t, x, tail.value_explicit, None, prefactor))
 
+    # a lattice law fixes the panjer span
+    span = model.severity.lattice_span
     note = "exact"
     if span is None:
         span = controls.span

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, LatticeSeverityError, SizeError
+from .errors import DomainError, SizeError
 from .lattice import MAX_CELLS, check_cells, check_span, first_step, step_at, steps_to
 from .rootfind import expand_lower, expand_upper, safeguarded_newton
 from .severity import Lattice, SeverityModel
@@ -223,66 +223,48 @@ class EsscherTail:
     span_correction: float | None = None
 
 
-def _tail_prelude(model: CompoundModel, t: float, x: float) -> tuple[EntropyPoint, float]:
+def esscher_tail(model: CompoundModel, t: float, x: float) -> EsscherTail:
+    """Esscher approximation of P(S(t) >= t x) for any claim law.
+
+    A density gets the prefactor 1/a and E(a sigma). On a lattice of span d
+    1/a becomes 1/A(d) with A(d) = (1 - e^{-ad})/d, which recovers the
+    continuous form as d -> 0, and E(a sigma) becomes the discrete Esscher
+    function E(ad, d/sigma).
+    """
     if not t > 0.0:
         raise DomainError(f"horizon must be positive, got {t}")
-    if x <= model.mean_rate:
+    point = entropy(model, x)
+    a = point.tilt
+    if not a > 0.0:  # entropy puts every level within rounding of the mean rate at tilt 0
         raise DomainError(
             f"level {x} must exceed the mean rate {model.mean_rate} for an upper tail"
         )
-    point = entropy(model, x)
-    sigma = math.sqrt(t * model.g_second(point.tilt))
-    return point, sigma
-
-
-def esscher_tail(model: CompoundModel, t: float, x: float) -> EsscherTail:
-    """Esscher approximation for a severity with a density.
-
-    Lattice and point-mass severities must use the span-corrected
-    :func:`esscher_tail_lattice` instead.
-    """
-    if model.severity.lattice_span is not None:
-        raise LatticeSeverityError(
-            "severity is lattice-valued; use esscher_tail_lattice for the span-corrected form"
-        )
-    point, sigma = _tail_prelude(model, t, x)
-    a = point.tilt
+    sigma = math.sqrt(t * model.g_second(a))
     damp = math.exp(-t * point.h)
-    return EsscherTail(
-        value=damp * esscher_function(a * sigma),
-        value_explicit=damp / (SQRT_TWO_PI * a * sigma),
-        tilt=a,
-        h=point.h,
-        sigma=sigma,
-        degenerate=a * sigma < 1.0,
-    )
-
-
-def esscher_tail_lattice(model: CompoundModel, t: float, x: float) -> EsscherTail:
-    """Span-corrected Esscher approximation for lattice severities.
-
-    The continuous prefactor 1/a becomes 1/A(d) with A(d) = (1 - e^{-ad})/d,
-    which recovers the continuous formula as d -> 0. The canonical value
-    uses the discrete Esscher function E(ad, d/sigma) directly.
-    """
     d = model.severity.lattice_span
     if d is None:
-        raise DomainError(
-            "severity has a density; use esscher_tail (no span correction applies)"
-        )
-    point, sigma = _tail_prelude(model, t, x)
-    a = point.tilt
-    span_corr = (1.0 - math.exp(-a * d)) / d
-    damp = math.exp(-t * point.h)
+        span_corr, prefactor, value = None, a, esscher_function(a * sigma)
+    else:
+        span_corr = prefactor = (1.0 - math.exp(-a * d)) / d
+        value = esscher_function_discrete(a * d, d / sigma)
     return EsscherTail(
-        value=damp * esscher_function_discrete(a * d, d / sigma),
-        value_explicit=damp / (SQRT_TWO_PI * span_corr * sigma),
+        value=damp * value,
+        value_explicit=damp / (SQRT_TWO_PI * prefactor * sigma),
         tilt=a,
         h=point.h,
         sigma=sigma,
         degenerate=a * sigma < 1.0,
         span_correction=span_corr,
     )
+
+
+def esscher_tail_lattice(model: CompoundModel, t: float, x: float) -> EsscherTail:
+    """:func:`esscher_tail` for a law with a lattice span only."""
+    if model.severity.lattice_span is None:
+        raise DomainError(
+            "severity has a density; use esscher_tail (no span correction applies)"
+        )
+    return esscher_tail(model, t, x)
 
 
 # ---------------------------------------------------------------------------

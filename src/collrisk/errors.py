@@ -53,10 +53,6 @@ class RootBracketError(CollRiskError):
     """A root bracket could not be established (e.g. nearly coincident rates)."""
 
 
-class LatticeSeverityError(CollRiskError):
-    """Continuous-severity operation invoked on a lattice severity."""
-
-
 class SizeError(CollRiskError):
     """Exact enumeration requested beyond the supported problem size."""
 

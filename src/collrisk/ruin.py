@@ -88,6 +88,13 @@ class RiskSystem:
                 ruin_probability=1.0,
             )
 
+    def _require_nonzero_loading(self) -> None:
+        if abs(self.loading) <= 1e-14 * max(1.0, self.premium_rate):
+            raise LoadingError(
+                "premium rate equals the mean loss rate: the root equation is tangent at zero",
+                ruin_probability=1.0,
+            )
+
 
 # ---------------------------------------------------------------------------
 # Ladder decomposition and the exact recursion for r(u)
@@ -190,11 +197,7 @@ def lundberg(system: RiskSystem) -> LundbergSolution:
 def _lundberg(system: RiskSystem) -> LundbergSolution:
     model, c = system.model, system.premium_rate
     mean = model.mean_rate
-    if abs(system.loading) <= 1e-14 * max(1.0, c):
-        raise LoadingError(
-            "premium rate equals the mean loss rate: the root equation is tangent at zero",
-            ruin_probability=1.0,
-        )
+    system._require_nonzero_loading()
     nu = model.rate * model.severity.moment(2)
     mu3 = model.rate * model.severity.moment(3)
 
@@ -532,10 +535,8 @@ def hitting_below(
         raise DomainError(f"barrier depth must be positive, got {u}")
     if t is not None and not t > 0.0:
         raise DomainError(f"horizon must be positive, got {t}")
-    loading = system.loading
-    if abs(loading) <= 1e-14 * max(1.0, c):
-        raise LoadingError("premium rate equals the mean loss rate", ruin_probability=1.0)
-    if loading > 0.0:
+    system._require_nonzero_loading()
+    if system.loading > 0.0:
         value, root = 1.0, None
     else:
         sol = lundberg(system)

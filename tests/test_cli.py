@@ -262,13 +262,54 @@ def test_tail_point_mass_rows(unit_model):
     assert abs(float(mc[3]) - float(by_method["panjer"][3])) <= 3 * float(mc[4])
 
 
-def test_tail_at_mean_rate(unit_model):
-    code, out = run(["tail", unit_model, "--t", "20", "--x", "1.0", "--format", "csv"])
+# the severity block of each claim law; "lattice" reads five.lat
+TAIL_LAWS = {
+    "exponential": "kind = exponential\n    rate = 1.0\n",
+    "gamma": "kind = gamma\n    shape = 2.5\n",
+    "mixture": "kind = mixture\n    weights = 0.4,0.6\n    rates = 0.5,2\n",
+    "point": "kind = point\n    location = 1.0\n",
+    "lattice": "kind = lattice\n    span = 0.5\n    file = five.lat\n",
+}
+
+
+def tail_rows(tmp_path, law, factor):
+    """The rows of ``tail --t 20`` at x = factor * mean rate, by method."""
+    (tmp_path / "five.lat").write_text("0.5 0.1\n1.0 0.3\n1.5 0.2\n2.0 0.25\n2.5 0.15\n")
+    path = tmp_path / f"{law}.model"
+    path.write_text(
+        f"lambda = 1.0\npremium_rate = 5\nseverity {{\n    {TAIL_LAWS[law]}}}\nspan = 0.01\n")
+    x = factor * parse_model_file(str(path)).system.model.mean_rate
+    code, out = run(["tail", str(path), "--t", "20", "--x", repr(x), "--format", "csv"])
     assert code == 0
-    by_method = {row[0]: row for row in csv_rows(out)}
+    return {row[0]: row for row in csv_rows(out)}
+
+
+@pytest.mark.parametrize("factor", [1.0 - 1e-13, 1.0, 1.0 + 1e-13], ids=["below", "at", "above"])
+@pytest.mark.parametrize("law", TAIL_LAWS)
+def test_tail_at_mean_rate(tmp_path, law, factor):
+    by_method = tail_rows(tmp_path, law, factor)
     assert float(by_method["chernoff"][3]) == 1.0
     assert by_method["esscher"][3] == ""  # flagged, no value
     assert "mean-rate" in by_method["esscher"][5]
+    assert "esscher-explicit" not in by_method
+
+
+@pytest.mark.parametrize("law", TAIL_LAWS)
+def test_tail_below_the_mean_rate(tmp_path, law):
+    by_method = tail_rows(tmp_path, law, 0.5)
+    assert by_method["esscher"][3:] == ["", "", "below the mean rate"]
+    assert "esscher-explicit" not in by_method
+
+
+@pytest.mark.parametrize("law", TAIL_LAWS)
+def test_tail_esscher_form_follows_the_claim_law(tmp_path, law):
+    by_method = tail_rows(tmp_path, law, 1.5)
+    lattice = law in ("point", "lattice")
+    assert by_method["esscher"][5] in (
+        "span-corrected" if lattice else "continuous", "degenerate: a*sigma < 1")
+    assert float(by_method["esscher"][3]) > 0.0
+    explicit = by_method["esscher-explicit"]
+    assert explicit[5] == ("modified prefactor" if lattice else "expanded prefactor")
 
 
 def test_tail_continuous_is_labeled_discretized(exp_model):

@@ -14,7 +14,6 @@ from collrisk import (
     Exponential,
     Gamma,
     Lattice,
-    LatticeSeverityError,
     MixtureOfExponentials,
     PointMass,
     Policy,
@@ -322,10 +321,54 @@ def test_esscher_tail_degenerate_flag():
 def test_esscher_tail_domain():
     with pytest.raises(DomainError):
         esscher_tail(EXP_MODEL, 10.0, 0.8)  # below the mean rate
-    with pytest.raises(LatticeSeverityError):
-        esscher_tail(UNIT_MODEL, 10.0, 1.5)
-    with pytest.raises(DomainError):
+    for x in (1.0 + 1e-13, 1.0 + 1e-300):  # at the mean rate to rounding: no positive tilt
+        with pytest.raises(DomainError, match="must exceed the mean rate"):
+            esscher_tail(EXP_MODEL, 10.0, x)
+    assert esscher_tail(UNIT_MODEL, 10.0, 1.5).span_correction is not None
+    with pytest.raises(DomainError, match="use esscher_tail"):
         esscher_tail_lattice(EXP_MODEL, 10.0, 1.5)
+
+
+DENSITY_LAWS = (Exponential(1.0), Gamma(2.5), MixtureOfExponentials((0.4, 0.6), (0.5, 2.0)))
+
+
+@st.composite
+def lattice_laws(draw):
+    """A point mass, or a lattice of 1 to 60 cells, at a random span."""
+    span = draw(st.floats(0.05, 3.0))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60))
+    if draw(st.booleans()):
+        return PointMass(span)
+    weights[-1] += 0.01  # the top cell keeps mass, so the lattice has len(weights) cells
+    return Lattice(span, tuple(w / math.fsum(weights) for w in weights))
+
+
+def _esscher_outcome(fn, model, t, x):
+    try:
+        return fn(model, t, x)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(lattice_laws(), st.sampled_from(DENSITY_LAWS)),
+    st.floats(0.1, 10.0),
+    st.floats(0.5, 100.0),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_one_esscher_tail_for_every_claim_law(law, rate, t, u):
+    model = CompoundModel(rate, law)
+    x = model.mean_rate * (1.0 + 2.0 * u)  # in (mean, 3 mean]
+    if law.lattice_span is None:
+        with pytest.raises(DomainError, match="use esscher_tail"):
+            esscher_tail_lattice(model, t, x)
+    else:
+        entry = _esscher_outcome(esscher_tail_lattice, model, t, x)
+        assert _esscher_outcome(esscher_tail, model, t, x) == entry
+    for below in (model.mean_rate, model.mean_rate * (1.0 - u)):
+        with pytest.raises(DomainError):
+            esscher_tail(model, t, below)
 
 
 def test_esscher_tail_lattice_unit_example():

@@ -181,9 +181,15 @@ def test_lundberg_negative_branch():
     assert sol.constant > 0
 
 
+# premium rates at lambda*mu = 1 to rounding, where the root equation is tangent at zero
+TANGENT_RATES = (1.0 - 5e-15, 1.0, 1.0 + 5e-15)
+TANGENT_MESSAGE = "^premium rate equals the mean loss rate: the root equation is tangent at zero$"
+
+
 def test_lundberg_tangent_case():
-    with pytest.raises(LoadingError):
-        lundberg(RiskSystem(CompoundModel(1.0, Exponential(1.0)), 1.0, 0.0))
+    for c in TANGENT_RATES:
+        with pytest.raises(LoadingError, match=TANGENT_MESSAGE):
+            lundberg(RiskSystem(CompoundModel(1.0, Exponential(1.0)), c, 0.0))
 
 
 def test_tilted_mean_rate_at_R():
@@ -619,8 +625,9 @@ def test_hitting_below_finite_time_convergence():
 
 
 def test_hitting_below_loading_equality():
-    with pytest.raises(LoadingError):
-        hitting_below(RiskSystem(CompoundModel(1.0, Exponential(1.0)), 1.0, 0.0), 1.0)
+    for c in TANGENT_RATES:
+        with pytest.raises(LoadingError, match=TANGENT_MESSAGE):
+            hitting_below(RiskSystem(CompoundModel(1.0, Exponential(1.0)), c, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

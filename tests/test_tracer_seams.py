@@ -114,3 +114,24 @@ def test_traced_analytic_bundle_solves_each_root_once():
     assert tracer.calls["rootfind.newton"] == 4
     assert tracer.counts["newton_evals"] > 0  # the wrapped f and f' of each solve ran
     assert tracer.calls["cumulant.entropy"] == 5  # every call is traced; hits skip the solve
+
+
+def test_traced_lattice_entry_runs_the_one_esscher_body():
+    # the benchmark calls esscher_tail_lattice for point-mass and lattice claims
+    lib = SimpleNamespace(**{m: importlib.import_module(f"collrisk.{m}") for m in MODULES})
+    models = [lib.cumulant.CompoundModel(1.0, lib.severity.PointMass(1.0)),
+              lib.cumulant.CompoundModel(2.0, lib.severity.Lattice(0.5, (0.25, 0.25, 0.5)))]
+    untraced = [lib.cumulant.esscher_tail_lattice(m, 10.0, 1.5 * m.mean_rate) for m in models]
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install(lib)
+        traced = [lib.cumulant.esscher_tail_lattice(m, 10.0, 1.5 * m.mean_rate) for m in models]
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    # two spans per call, the entry's and the body's inside it
+    spans = [s for s in tracer.spans if s[0] == "cumulant.esscher"]
+    entries = [s[3] for s in spans if s[4] is None]
+    assert len(entries) == 2 and sorted(s[4] for s in spans if s[4] is not None) == entries
+    assert tracer.calls["cumulant.esscher"] == 4
+    assert tracer.self_s["cumulant.esscher"] > 0.0
