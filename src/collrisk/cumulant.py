@@ -245,7 +245,7 @@ def esscher_tail(model: CompoundModel, t: float, x: float) -> EsscherTail:
     if d is None:
         span_corr, prefactor, value = None, a, esscher_function(a * sigma)
     else:
-        span_corr = prefactor = (1.0 - math.exp(-a * d)) / d
+        span_corr = prefactor = -math.expm1(-a * d) / d
         value = esscher_function_discrete(a * d, d / sigma)
     return EsscherTail(
         value=damp * value,

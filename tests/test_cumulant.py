@@ -399,6 +399,19 @@ def test_esscher_tail_lattice_span_correction_limit():
         assert abs(tail.tilt - a_cont) <= 0.5 * d
 
 
+def test_span_correction_keeps_its_digits_near_the_mean():
+    # A(d) = (1 - e^{-ad})/d against its series in ad, where 1 - e^{-ad} cancels;
+    # far-apart cells keep each level well clear of the mean rate
+    d, cells = 0.01, 10_000
+    model = CompoundModel(1.0, Lattice(d, (0.5,) + (0.0,) * (cells - 2) + (0.5,)))
+    for ad in np.geomspace(1e-14, 1e-4, 11):
+        tail = esscher_tail(model, 10.0, model.g_prime(ad / d))
+        u = tail.tilt * d
+        assert u == pytest.approx(ad, rel=1e-6)
+        series = tail.tilt * (1.0 - u / 2.0 + u**2 / 6.0 - u**3 / 24.0)
+        assert tail.span_correction == pytest.approx(series, rel=1e-14, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # individual model
 # ---------------------------------------------------------------------------
