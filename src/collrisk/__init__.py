@@ -22,6 +22,7 @@ from .cumulant import (
     esscher_tail,
     esscher_tail_lattice,
     portfolio_exact_tail,
+    portfolio_tail_bracket,
     portfolio_to_compound,
     suggest_truncation,
 )
@@ -36,7 +37,6 @@ from .errors import (
     NoRootError,
     ParseError,
     RootBracketError,
-    SizeError,
     TailError,
     UnderflowWarning,
 )

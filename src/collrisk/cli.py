@@ -27,6 +27,7 @@ from .cumulant import (
     esscher_tail,
     esscher_tail_lattice,  # noqa: F401  the benchmark's tracer patches it here
     portfolio_exact_tail,
+    portfolio_tail_bracket,
     portfolio_to_compound,
 )
 from .errors import (
@@ -565,8 +566,14 @@ def cmd_portfolio(args: argparse.Namespace) -> str:
     if args.x:
         n_out = max(steps_to(max(args.x), severity.span) + 1, 1)
         agg = panjer(model.rate, lattice_masses(severity), n_out)
-        for x, exact in zip(args.x, portfolio_exact_tail(portfolio, args.x)):
-            rows.append(("tail", x, exact, agg.tail(steps_within(x, severity.span))))
+        try:
+            tails = [("tail", portfolio_exact_tail(portfolio, args.x))]
+        except DomainError:  # the sums share no span: bracket them on --span's lattice
+            bracket = portfolio_tail_bracket(portfolio, severity.span, args.x)
+            tails = list(zip(("tail-lower", "tail-upper"), bracket))
+        for i, x in enumerate(args.x):
+            compound = agg.tail(steps_within(x, severity.span))
+            rows.extend((key, x, values[i], compound) for key, values in tails)
 
     return _render(["section", "key", "value", "extra"],
                    [row + ("",) * (4 - len(row)) for row in rows], args.format)

@@ -21,8 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, SizeError
-from .lattice import MAX_CELLS, check_cells, check_span, first_step, step_at, steps_to
+from .errors import DomainError
+from .lattice import (
+    MAX_CELLS, check_cells, check_span, first_step, step_at, steps_to, steps_within
+)
 from .rootfind import expand_lower, expand_upper, safeguarded_newton
 from .severity import Lattice, SeverityModel
 
@@ -47,6 +49,7 @@ __all__ = [
     "esscher_tail_lattice",
     "portfolio_to_compound",
     "portfolio_exact_tail",
+    "portfolio_tail_bracket",
     "suggest_truncation",
 ]
 
@@ -380,38 +383,44 @@ def portfolio_to_compound(portfolio: Portfolio, span: float | None = None) -> Co
     return CompoundModel(lam, Lattice(span, tuple(masses)))
 
 
-_MAX_POLICIES = 25
-_MAX_SUPPORT = 1 << 21
+def _lattice_tails(portfolio: Portfolio, steps: list[int], span: float, x):
+    """P(L > x), where policy i adds ``steps[i]`` cells of ``span`` to L when it claims.
+
+    One convolution over the support reached so far, g <- (1 - p)*g + p*shift_k(g)
+    per policy, keeps every cell, and each tail sums masses from the top down,
+    so no term cancels. A sequence of levels gives its tails, in order.
+    """
+    g = np.zeros(check_cells(sum(steps) + 1))
+    g[0], top = 1.0, 0
+    for k, pol in zip(steps, portfolio):
+        hit = pol.loss_probability * g[: top + 1]
+        g[: top + 1] *= 1.0 - pol.loss_probability
+        top += k
+        g[k : top + 1] += hit
+    above = np.append(np.cumsum(g[::-1])[::-1], 0.0)  # above[m] = P(L >= m*span)
+    tails = above[steps_within(np.clip(np.atleast_1d(x), -span, top * span), span) + 1]
+    return tails.tolist() if np.ndim(x) else float(tails[0])
 
 
 def portfolio_exact_tail(portfolio: Portfolio, x: float | list[float]) -> float | list[float]:
-    """Exact P(total individual loss > x) by convolving two-point laws.
+    """Exact P(total individual loss > x) on the sums' coarsest common lattice (``_infer_span``).
 
-    Supports up to 25 policies; the support of the convolution is merged
-    on the fly, so commensurable sums at risk stay cheap. For a sequence
-    of levels the tails come, in order, from one convolution.
+    For a sequence of levels the tails come, in order, from one convolution,
+    bit for bit as one call per level.
     """
-    if len(portfolio) > _MAX_POLICIES:
-        raise SizeError(
-            f"{len(portfolio)} policies exceed the exact-enumeration cap of {_MAX_POLICIES}"
-        )
-    resolution = 1e-9
-    dist: dict[int, float] = {0: 1.0}
-    for pol in portfolio:
-        shift = round(pol.sum_at_risk / resolution)
-        p = pol.loss_probability
-        new: dict[int, float] = {}
-        for key, pr in dist.items():
-            new[key] = new.get(key, 0.0) + pr * (1.0 - p)
-            hit = key + shift
-            new[hit] = new.get(hit, 0.0) + pr * p
-        dist = new
-        if len(dist) > _MAX_SUPPORT:
-            raise SizeError("convolution support exceeded the enumeration cap")
-    levels = np.atleast_1d(x)
-    thresholds = (levels + 1e-12 * np.maximum(1.0, np.abs(levels))).tolist()
-    tails = [sum(pr for key, pr in dist.items() if key * resolution > t) for t in thresholds]
-    return tails if np.ndim(x) else tails[0]
+    span, steps = _infer_span([pol.sum_at_risk for pol in portfolio])
+    return _lattice_tails(portfolio, steps, span, x)
+
+
+def portfolio_tail_bracket(portfolio: Portfolio, span: float, x: float | list[float]) -> tuple:
+    """P(L > x) from below and above, every sum at risk rounded down, then up, onto ``span``.
+
+    The upper portfolio is the one ``portfolio_to_compound(portfolio, span)`` collects.
+    """
+    sums = [pol.sum_at_risk for pol in portfolio]
+    lower = _lattice_tails(portfolio, [steps_within(v, check_span(span)) for v in sums], span, x)
+    upper = _lattice_tails(portfolio, [max(1, steps_to(v, span)) for v in sums], span, x)
+    return lower, upper
 
 
 def suggest_truncation(

@@ -53,10 +53,6 @@ class RootBracketError(CollRiskError):
     """A root bracket could not be established (e.g. nearly coincident rates)."""
 
 
-class SizeError(CollRiskError):
-    """Exact enumeration requested beyond the supported problem size."""
-
-
 class BudgetError(CollRiskError):
     """A simulation plan expects more claim events than ``montecarlo.EVENT_BUDGET``."""
 

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import get_lapack_funcs, toeplitz
 
-from .errors import DomainError, GridError, ParseError, UnderflowWarning
+from .errors import DomainError, GridError, UnderflowWarning
 
 logger = logging.getLogger(__name__)
 
@@ -159,52 +159,6 @@ class LatticeDistribution:
         mu = self.mean()
         second = float(np.dot(np.arange(self.masses.size) ** 2, self.masses)) * self.span**2
         return second - mu * mu
-
-    # -- serialization: two columns (point, mass), full decimal precision --
-
-    def to_text(self) -> str:
-        lines = [f"# lattice span={float(self.span)!r} remainder={self.remainder!r}"]
-        for n, g in enumerate(self.masses):
-            lines.append(f"{float(n * self.span)!r} {float(g)!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "LatticeDistribution":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("#"):
-            raise ParseError("lattice text must start with a '# lattice span=...' header")
-        header = lines[0]
-        try:
-            fields = dict(
-                tok.split("=", 1) for tok in header.lstrip("#").split() if "=" in tok
-            )
-            span = float(fields["span"])
-            remainder = float(fields["remainder"])
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"bad lattice header: {header}") from exc
-        masses = []
-        for i, ln in enumerate(lines[1:]):
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ParseError(f"expected two columns, got: {ln}")
-            try:
-                point, mass = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"bad lattice row {i + 1}: {ln}") from exc
-            try:
-                index = step_at(point, span)
-            except DomainError as exc:
-                raise ParseError(f"bad lattice header: {exc}") from exc
-            if index != i:
-                raise ParseError(f"point {point} is not lattice index {i} of span {span}")
-            masses.append(mass)
-        dist = cls(span, np.asarray(masses))
-        if abs(dist.remainder - remainder) > 1e-9:
-            raise ParseError(
-                f"header remainder {remainder} inconsistent with masses "
-                f"(recomputed {dist.remainder})"
-            )
-        return dist
 
 
 def _checked_severity(severity: LatticeDistribution, what: str) -> np.ndarray:

@@ -112,9 +112,6 @@ class LadderLaw:
     upcross_probability: float
     severity: SeverityModel
 
-    def density(self, u: float) -> float:
-        return self.severity.sf(u) / self.severity.mean
-
 
 def ladder(system: RiskSystem) -> LadderLaw:
     system._require_positive_loading("the ladder decomposition")

@@ -78,9 +78,6 @@ class SeverityModel:
     def mean(self) -> float:
         return self.moment(1)
 
-    def cdf(self, x: float) -> float:
-        return 1.0 - self.sf(x)
-
     def sf(self, x: float) -> float:
         """Survival function P(X > x)."""
         raise NotImplementedError

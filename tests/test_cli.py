@@ -1,10 +1,13 @@
 """Command-line front end: parsing, dispatch, formats, exit codes."""
 
+import ast
 import io
 import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -492,6 +495,42 @@ def test_portfolio_infinite_sum_at_risk_is_a_parse_error(tmp_path, capsys, span_
     assert "sum at risk must be positive and finite, got inf" in capsys.readouterr().err
 
 
+def test_portfolio_sums_with_no_common_span_print_a_bracket(tmp_path, capsys):
+    policies = tmp_path / "pol.csv"
+    policies.write_text(f"1, 0.3\n{math.pi!r}, 0.2\n")
+    assert run(["portfolio", str(policies), "--x", "1"]) == (3, "")  # no span to infer
+    assert "share no usable common span" in capsys.readouterr().err
+    levels = [0.5, 1.0, 2.0, 3.0, 3.2, 4.0, 4.5]
+    code, out = run(["portfolio", str(policies), "--span", "0.5", "--x",
+                     ",".join(map(str, levels)), "--format", "csv"])
+    assert code == 0
+    rows = [row for row in csv_rows(out) if row[0].startswith("tail")]
+    assert [row[0] for row in rows] == ["tail-lower", "tail-upper"] * len(levels)
+    for x, (lower, upper) in zip(levels, zip(rows[::2], rows[1::2])):
+        # L takes 0, 1, pi and 1 + pi with probabilities 0.56, 0.24, 0.14 and 0.06
+        exact = sum(w for v, w in ((1.0, 0.24), (math.pi, 0.14), (1.0 + math.pi, 0.06)) if v > x)
+        assert float(lower[1]) == float(upper[1]) == x and lower[3] == upper[3]
+        assert float(lower[2]) <= exact + 1e-12 and exact <= float(upper[2]) + 1e-12
+    # pi rounds down onto 3 and up onto 3.5, on either side of x = 3
+    assert [float(row[2]) for row in rows[6:8]] == pytest.approx([0.06, 0.2], rel=1e-12)
+
+
+def test_portfolio_of_a_thousand_policies(tmp_path):
+    rng = np.random.default_rng(11)
+    policies = tmp_path / "pol.csv"
+    policies.write_text("".join(f"{0.5 * k:g}, {p:.6f}\n" for k, p in
+                                zip(rng.integers(1, 201, 1000), rng.uniform(0.001, 0.05, 1000))))
+    code, out = run(["portfolio", str(policies), "--x", "100,500,2000", "--format", "csv"])
+    assert code == 0
+    rows = csv_rows(out)
+    bound = {row[1]: float(row[2]) for row in rows if row[0] == "summary"}["approximation-bound"]
+    tails = [row for row in rows if row[0] == "tail"]
+    assert [float(row[1]) for row in tails] == [100.0, 500.0, 2000.0]
+    for row in tails:
+        assert 0.0 <= float(row[2]) <= 1.0
+        assert abs(float(row[2]) - float(row[3])) <= bound + 1e-12
+
+
 # ---------------------------------------------------------------------------
 # output discipline
 # ---------------------------------------------------------------------------
@@ -780,6 +819,18 @@ def test_every_error_class_exit_code(monkeypatch, klass, capsys):
     assert code == _NONDEFAULT_EXIT.get(klass.__name__, 3)
     assert out == ""
     assert capsys.readouterr().err == "error: injected\n"
+
+
+def test_every_error_class_has_a_raise_site():
+    src = Path(__file__).resolve().parents[1] / "src" / "collrisk"
+    raised = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                raised.add(getattr(func, "id", getattr(func, "attr", None)))
+    classes = {k.__name__ for k in _ERROR_CLASSES if k is not errors.CollRiskError}
+    assert classes - raised == set()
 
 
 def test_n_out_caps_lattice_work(tmp_path):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -20,7 +20,6 @@ from collrisk import (
     Portfolio,
     RiskSystem,
     SimulationPlan,
-    SizeError,
     chernoff_bound,
     discretize,
     entropy,
@@ -472,10 +471,60 @@ def test_portfolio_exact_tail_at_many_levels_is_one_call_per_level(rows, levels)
     assert not isinstance(portfolio_exact_tail(portfolio, levels[0]), list)  # one level, one value
 
 
-def test_portfolio_size_cap():
-    big = Portfolio(tuple(Policy(1.0, 0.1) for _ in range(26)))
-    with pytest.raises(SizeError):
-        portfolio_exact_tail(big, 1.0)
+def _enumerated_tails(portfolio, levels):
+    """Reference only: P(L > x) by enumerating a dict of totals on a 1e-9 money grid."""
+    dist = {0: 1.0}
+    for pol in portfolio:
+        shift, p = round(pol.sum_at_risk / 1e-9), pol.loss_probability
+        new = {}
+        for key, pr in dist.items():
+            new[key] = new.get(key, 0.0) + pr * (1.0 - p)
+            new[key + shift] = new.get(key + shift, 0.0) + pr * p
+        dist = new
+    return [sum(pr for key, pr in dist.items() if key * 1e-9 > x + 1e-12 * max(1.0, abs(x)))
+            for x in levels]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.7]), st.floats(0.001, 0.6)),
+             min_size=1, max_size=20),
+    st.lists(st.integers(-20, 1500), min_size=1, max_size=10),
+)
+def test_portfolio_exact_tail_matches_the_enumeration(rows, grid):
+    portfolio = Portfolio(tuple(Policy(x, p) for x, p in rows))
+    levels = [0.05 * k for k in grid] + [x for x, _ in rows]  # on and between support points
+    got = portfolio_exact_tail(portfolio, levels)
+    for a, b in zip(got, _enumerated_tails(portfolio, levels)):
+        assert a == pytest.approx(b, rel=1e-14, abs=0.0)
+
+
+def test_portfolio_exact_tail_has_no_size_cap():
+    # 1,000 policies: the binomial law, down to a tail below 1e-60
+    big = Portfolio(tuple(Policy(1.0, 0.01) for _ in range(1000)))
+    levels = [0.0, 5.5, 10.0, 30.0, 100.0]
+    tails = portfolio_exact_tail(big, levels)
+    want = stats.binom.sf([0, 5, 10, 30, 100], 1000, 0.01)
+    assert tails[-1] < 1e-60
+    for got, expected in zip(tails, want):
+        assert got == pytest.approx(float(expected), rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.7]), st.floats(0.001, 0.3)),
+             min_size=1, max_size=300),
+)
+@example([(3.7, 0.3), (0.5, 0.01), (1.5, 0.1)] * 100)
+def test_portfolio_exact_and_compound_within_the_approximation_bound(rows):
+    portfolio = Portfolio(tuple(Policy(x, p) for x, p in rows))
+    model = portfolio_to_compound(portfolio)
+    span = model.severity.span
+    top = round(sum(x for x, _ in rows) / span)
+    agg = panjer(model.rate, model.severity.as_distribution(), top + 1)
+    exact = portfolio_exact_tail(portfolio, [m * span for m in range(top + 1)])
+    worst = max(abs(e - agg.tail(m)) for m, e in enumerate(exact))
+    assert worst <= portfolio.approximation_bound + 1e-12
 
 
 def test_compound_poisson_approximation_bound():

@@ -19,7 +19,6 @@ from collrisk import (
     GridError,
     Lattice,
     LatticeDistribution,
-    ParseError,
     RiskSystem,
     UnderflowWarning,
     compound_geometric,
@@ -431,34 +430,8 @@ def test_no_rescale_while_the_seed_is_representable():
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# validation
 # ---------------------------------------------------------------------------
-
-
-def test_text_round_trip_bit_exact():
-    rng = np.random.default_rng(5)
-    raw = rng.random(17)
-    masses = raw / raw.sum() * 0.9937  # leave a remainder
-    dist = LatticeDistribution(0.01, masses)
-    back = LatticeDistribution.from_text(dist.to_text())
-    assert back.span == dist.span
-    assert np.array_equal(back.masses, dist.masses)
-    assert back.remainder == dist.remainder
-
-
-def test_text_parse_errors():
-    with pytest.raises(ParseError):
-        LatticeDistribution.from_text("0 0.5\n1 0.5\n")
-    for span in ("0", "-0.5", "inf"):
-        with pytest.raises(ParseError, match="span must be positive and finite"):
-            LatticeDistribution.from_text(f"# lattice span={span} remainder=0.0\n0 1\n")
-    good = LatticeDistribution(1.0, np.array([0.5, 0.5])).to_text()
-    with pytest.raises(ParseError):
-        LatticeDistribution.from_text(good.replace("remainder=0.0", "remainder=0.5"))
-    with pytest.raises(ParseError):
-        LatticeDistribution.from_text("# lattice span=1.0 remainder=0.0\n0 0.5 9\n")
-    with pytest.raises(ParseError, match="bad lattice row 1: zero 1"):
-        LatticeDistribution.from_text("# lattice span=1.0 remainder=0.0\nzero 1\n")
 
 
 def test_lattice_distribution_validation():
@@ -539,11 +512,6 @@ def test_steps_within_array_matches_scalar():
     assert counts.tolist() == [steps_within(float(v), 0.1) for v in x]
 
 
-# the only function outside lattice.py that may round an amount: it rounds
-# to a grid of its own, not to a lattice cell
-_ROUNDING_ALLOWED = {"portfolio_exact_tail"}  # its 1e-9 money grid
-
-
 def _functions_by_line(tree):
     """Map each line to the dotted name of the innermost function around it."""
     owner = {}
@@ -574,4 +542,4 @@ def test_only_lattice_py_maps_amounts_to_cells():
         for line_no, line in enumerate(text.splitlines(), start=1):
             if re.search(r"(round|ceil|floor)\(", line):
                 found[owner.get(line_no, "<module>")] = f"{path.name}:{line_no}"
-    assert {name: at for name, at in found.items() if name not in _ROUNDING_ALLOWED} == {}
+    assert found == {}

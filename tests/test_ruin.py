@@ -60,15 +60,11 @@ def closed_form_ruin(u):
 def test_ladder_exponential():
     law = ladder(EXP_SYS)
     assert law.upcross_probability == pytest.approx(0.8, rel=1e-14)
-    for u in (0.5, 1.0, 2.0):
-        assert law.density(u) == pytest.approx(math.exp(-u), rel=1e-12)
 
 
 def test_ladder_point_mass_uniform():
     law = ladder(RiskSystem(UNIT_MODEL, 2.0, 0.0))
     assert law.upcross_probability == pytest.approx(0.5, rel=1e-14)
-    assert law.density(0.3) == pytest.approx(1.0, rel=1e-12)
-    assert law.density(1.2) == 0.0
 
 
 def test_ladder_large_premium():
