@@ -202,7 +202,8 @@ def _recurse(
     C-ordered block matrix (upper, transposed, unit diagonal): the routine,
     flags and memory that ``scipy.linalg.solve_triangular`` passes for it,
     without that wrapper's per-call validation and dispatch. The block
-    matrix is written into one buffer per call.
+    matrix is written into one buffer per call, or built once when every
+    step is the same.
 
     The work runs on mantissas that share one exponent: whenever a cell
     passes 1e280 the whole prefix is scaled down by e^-600, so a seed far
@@ -222,6 +223,8 @@ def _recurse(
     col[: min(size, coef.size)] = coef[:size]
     neg_coupling = -toeplitz(col, np.zeros(size))
     buf = np.empty(size * size)
+    # equal steps (compound_geometric's r) give every block one matrix: build it once
+    fixed = steps[0] * neg_coupling if np.all(steps == steps[0]) else None
     history = coef[:0:-1]
     n = 1
     while n <= n_out:
@@ -231,7 +234,10 @@ def _recurse(
             h = np.correlate(work[n : n + n_coef + b - 1], history, "valid")
             # I - diag(a) T, C-ordered; its transpose is the Fortran-ordered upper
             # matrix, and the coef_0 diagonal is never read (unit diagonal)
-            m = np.multiply(a_blk[:, None], neg_coupling[:b, :b], out=buf[: b * b].reshape(b, b))
+            if fixed is None:
+                m = np.multiply(a_blk[:, None], neg_coupling[:b, :b], out=buf[: b * b].reshape(b, b))
+            else:
+                m = fixed[:b, :b]
             w, info = _TRTRS(m.T, a_blk * h, lower=0, trans=1, unitdiag=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"LAPACK dtrtrs failed with info {info}")

@@ -9,16 +9,19 @@ fixed-size chunks, each from its own counter-based substream keyed by
 (seed, chunk index), and all reductions run in a fixed pairwise order,
 so results are bit-identical for any worker count.
 
-A chunk draws everything first, in a fixed stream order: the Poisson
-counts, one uniform per inner gap, one per closing gap, then the claim
-sizes. Its scan then runs over blocks of whole paths of about
-``BLOCK_EVENTS`` events each, small enough to stay in cache. The two
-running sums the scan needs (arrival spacings and claims) carry from block
-to block, so every arrival time, loss and estimate has the same bits
-whatever the block size. Past its draws a chunk holds about 16 bytes per
-claim event (the spacings and the claim sizes) plus one block's working
-arrays; an exponential, Gamma or point-mass sampler adds nothing while it
-draws.
+A chunk draws its Poisson counts first. Every other draw comes from three
+cursors on the same stream, opened where the whole-chunk schedule puts
+them: one uniform per inner gap (all paths' gaps in path order), then one
+per closing gap, then the claim sizes. Philox is counter-based, so a cursor
+reaches its first word without drawing the words before it. The scan runs
+over blocks of whole paths of about ``BLOCK_EVENTS`` events each, small
+enough to stay in cache, and each block draws its own gaps and claims from
+the cursors as it reaches them. The two running sums the scan needs
+(arrival spacings and claims) carry from block to block, so every draw,
+arrival time, loss and estimate has the same bits whatever the block size.
+A chunk holds its counts and per-path outputs (a few words per path) plus
+one block's draws and working arrays; memory does not grow with the
+chunk's event count.
 """
 
 from __future__ import annotations
@@ -66,7 +69,10 @@ def severity_sampler(severity: SeverityModel) -> Sampler:
 
 
 EVENT_BUDGET = 2e9  # most expected claim events one ``simulate`` may draw
-BLOCK_EVENTS = 32_768  # expected claim events per path block of a chunk's scan
+# expected claim events per path block of a chunk's scan; a block's float arrays
+# (96 KiB each) stay under the C allocator's default 128 KiB mmap threshold, so they
+# are not mapped and page-faulted afresh for every block
+BLOCK_EVENTS = 12_288
 
 
 @dataclass(frozen=True)
@@ -157,34 +163,33 @@ class _ChunkOut:
     n_events: int
 
 
-def _draw_chunk(
-    rng: np.random.Generator,
-    n_paths: int,
-    lam: float,
-    horizon: float,
-    sampler: Sampler,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every draw of one chunk: counts, inner and closing gaps, claim sizes.
+def _cursor(bit_generator: np.random.Philox, words: int) -> np.random.Generator:
+    """A generator on ``bit_generator``'s stream whose first 64-bit word is
+    the one ``words`` past the next word ``bit_generator`` would give.
 
-    The stream order is fixed: one Poisson count per path, one unit
-    exponential per inner gap (all paths' gaps in path order), one per
-    closing gap, then the severity sampler last, so a sampler whose draws
-    per claim vary (Gamma's rejection sampler) leaves every other draw
-    where it was. ``_path_blocks`` turns the gaps into arrival times by the
-    exponential-spacings representation of uniform order statistics, so no
-    sort is needed.
+    Philox makes its words four at a time from a counter: once ``counter``
+    blocks have been made, the next word is ``buffer_pos`` into the last of
+    them. The cursor is a fresh Philox on the same key, ``advance``d past
+    the blocks before the target word and then moved to it within its
+    block, so none of the words in between is drawn and ``bit_generator``
+    is not moved. Every draw of a chunk takes whole 64-bit words (one per
+    uniform), so no half-word is ever pending.
     """
-    counts = rng.poisson(lam * horizon, n_paths)
-    gaps = exponential_draws(rng, int(counts.sum()))
-    closing = exponential_draws(rng, n_paths)
-    return counts, gaps, closing, sampler(rng, gaps.size)
+    state = bit_generator.state
+    counter = sum(int(v) << (64 * i) for i, v in enumerate(state["state"]["counter"]))
+    target = 4 * (counter - 1) + state["buffer_pos"] + words
+    cursor = np.random.Philox(key=state["state"]["key"])
+    cursor.advance(target // 4)
+    cursor.random_raw(target % 4)
+    return np.random.Generator(cursor)
 
 
 def _path_blocks(
     counts: np.ndarray,
-    gaps: np.ndarray,
-    closing: np.ndarray,
-    x_ev: np.ndarray,
+    gaps: np.random.Generator,
+    closing: np.random.Generator,
+    claims: np.random.Generator,
+    sampler: Sampler,
     horizon: float,
     block_paths: int,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -192,24 +197,31 @@ def _path_blocks(
 
     Yields ``(p0, starts, counts, t_ev, x_ev, cum_loss)`` per block of
     paths ``p0, p0 + 1, ...``, with ``starts`` local to the block's events.
-    The running sums of the gaps and of the claims carry across blocks as
+    Each block draws its unit exponential inner gaps from ``gaps``, one
+    closing gap per path from ``closing`` and its claims from ``claims``
+    through ``sampler``, so only one block's draws exist at a time. The
+    claims of a chunk are one run of ``sampler`` calls on one cursor, which
+    gives the claims of one whole-chunk call because a sampler's draws do
+    not depend on how a run of claims is split (``SeverityModel.sample``).
+    The gaps become arrival times by the exponential-spacings
+    representation of uniform order statistics, so no sort is needed. The
+    running sums of the gaps and of the claims carry across blocks as
     ``cumsum([carry, *block])``; ``add.accumulate`` is sequential, so each
     value has the bits of one cumulative sum over the whole chunk.
     """
-    ends = np.cumsum(counts)
     t_carry = x_carry = 0.0
     for p0 in range(0, counts.size, block_paths):
         cnt = counts[p0 : p0 + block_paths]
-        e1 = ends[p0 + cnt.size - 1]
-        e0 = ends[p0] - cnt[0]
-        starts = ends[p0 : p0 + cnt.size] - cnt - e0
-        cum = np.cumsum(np.concatenate([[t_carry], gaps[e0:e1]]))
-        cum_x = np.cumsum(np.concatenate([[x_carry], x_ev[e0:e1]]))
+        n_ev = int(cnt.sum())
+        starts = np.cumsum(cnt) - cnt
+        cum = np.cumsum(np.concatenate([[t_carry], exponential_draws(gaps, n_ev)]))
+        x_ev = sampler(claims, n_ev)
+        cum_x = np.cumsum(np.concatenate([[x_carry], x_ev]))
         t_carry, x_carry = cum[-1], cum_x[-1]
-        denom = cum[starts + cnt] - cum[starts] + closing[p0 : p0 + cnt.size]
+        denom = cum[starts + cnt] - cum[starts] + exponential_draws(closing, cnt.size)
         t_ev = horizon * (cum[1:] - np.repeat(cum[starts], cnt)) / np.repeat(denom, cnt)
         cum_loss = cum_x[1:] - np.repeat(cum_x[starts], cnt)
-        yield p0, starts, cnt, t_ev, x_ev[e0:e1], cum_loss
+        yield p0, starts, cnt, t_ev, x_ev, cum_loss
 
 
 def _segment(
@@ -259,21 +271,28 @@ def _first_hitting_times(
 def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: int) -> _ChunkOut:
     """Count one chunk's paths for every estimator of the plan.
 
-    All draws come first (``_draw_chunk``). The scan then takes blocks of
-    whole paths of about ``BLOCK_EVENTS`` expected events
-    (``_path_blocks``) and fills per-path outputs: the loss by each tail
-    probe's time, the highest post-jump excess, the first passage per
-    hitting level and the collected level's ruin time (the first jump
-    epoch whose excess S - c*t is above the level; ruin can only happen
-    at a jump, so checking the post-jump values is exact). The counts
-    come from those outputs after the last block.
+    The Poisson counts come first. The scan then takes blocks of whole
+    paths of about ``BLOCK_EVENTS`` expected events (``_path_blocks``),
+    each drawing its gaps and claims from cursors on the chunk's stream
+    (``_cursor``) at the words the whole-chunk schedule gives them: inner
+    gaps right after the counts, closing gaps E words later and claims
+    E + P words later, for E events and P paths. It fills per-path
+    outputs: the loss by each tail probe's time, the highest post-jump
+    excess, the first passage per hitting level and the collected level's
+    ruin time (the first jump epoch whose excess S - c*t is above the
+    level; ruin can only happen at a jump, so checking the post-jump values
+    is exact). The counts come from those outputs after the last block.
     """
     sys = plan.system
     lam, c, horizon = sys.model.rate, sys.premium_rate, plan.horizon
     # uint64 words: a list holding a seed past 2**63 would become a float64 array
     key = np.array([plan.seed, chunk_id], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    counts, gaps, closing, x_ev = _draw_chunk(rng, n_paths, lam, horizon, sampler)
+    bit_generator = np.random.Philox(key=key)
+    counts = np.random.Generator(bit_generator).poisson(lam * horizon, n_paths)
+    n_events = int(counts.sum())
+    gaps, closing, claims = (
+        _cursor(bit_generator, words) for words in (0, n_events, n_events + n_paths)
+    )
 
     collected = _collected(plan)
     tail_loss = np.empty((len(plan.tail_probes), n_paths))
@@ -283,7 +302,7 @@ def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: i
     first_hit = np.empty((len(plan.hitting_levels), n_paths))
     first_ruin = np.empty(n_paths) if collected else None
     block_paths = max(1, int(BLOCK_EVENTS / max(lam * horizon, 1.0)))
-    blocks = _path_blocks(counts, gaps, closing, x_ev, horizon, block_paths)
+    blocks = _path_blocks(counts, gaps, closing, claims, sampler, horizon, block_paths)
     for p0, starts, cnt, t_ev, x_blk, cum_loss in blocks:
         p = slice(p0, p0 + cnt.size)
         for i, (t, _) in enumerate(plan.tail_probes):
@@ -302,7 +321,7 @@ def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: i
     hits += [np.count_nonzero(np.isfinite(first)) for first in first_hit]
     hits += [np.count_nonzero(peak > u) for u in collected]
     ruin_times = None if first_ruin is None else first_ruin[np.isfinite(first_ruin)]
-    return _ChunkOut(np.array(hits, dtype=float), ruin_times, int(counts.sum()))
+    return _ChunkOut(np.array(hits, dtype=float), ruin_times, n_events)
 
 
 def _resolve_chunk_paths(plan: SimulationPlan) -> int:

@@ -25,9 +25,7 @@ _WEIGHT_TOL = 1e-12
 TAIL_TOL = 1e-10  # tail mass a discretization may cut off beyond its last cell
 
 
-def exponential_draws(
-    rng: np.random.Generator, n: int, rate: float | np.ndarray | None = None
-) -> np.ndarray:
+def exponential_draws(rng: np.random.Generator, n: int, rate: float | None = None) -> np.ndarray:
     """n exponential draws -log1p(-U) / rate (rate 1 when None) from ``rng``.
 
     Each step runs in place on the one array of uniforms, so the draws cost
@@ -108,8 +106,13 @@ class SeverityModel:
         return None
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n independent claim sizes from ``rng``; the raw draws per claim may
-        vary (Gamma is a rejection sampler), so Monte Carlo draws claims last."""
+        """n independent claim sizes from ``rng``, claim by claim.
+
+        Drawing a claims and then b claims from one generator gives the
+        same values as drawing a + b at once, so Monte Carlo can draw a
+        chunk's claims block by block. The raw draws per claim may vary
+        (Gamma is a rejection sampler), so Monte Carlo draws claims last.
+        """
         raise NotImplementedError
 
 
@@ -344,11 +347,12 @@ class MixtureOfExponentials(SeverityModel):
         return self
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        # two uniforms per claim, the component's then the exponential's
         w, rates = self._arrays
-        comp = np.searchsorted(np.cumsum(w), rng.random(n), side="right")
+        u = rng.random((n, 2))
+        comp = np.searchsorted(np.cumsum(w), u[:, 0], side="right")
         rate = rates[np.minimum(comp, rates.size - 1, out=comp)]
-        del comp  # released before the draws
-        return exponential_draws(rng, n, rate)
+        return -np.log1p(-u[:, 1]) / rate
 
 
 @dataclass(frozen=True)

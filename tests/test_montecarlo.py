@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from collrisk import (
@@ -27,10 +29,23 @@ from collrisk import (
     simulate,
 )
 from collrisk import montecarlo
-from collrisk.montecarlo import _draw_chunk, _path_blocks, severity_sampler
+from collrisk.montecarlo import _cursor, severity_sampler
+from collrisk.severity import exponential_draws
 
 EXP_SYS = RiskSystem(CompoundModel(1.0, Exponential(1.0)), 1.25, 0.0)
 UNIT_SYS = RiskSystem(CompoundModel(1.0, PointMass(1.0)), 2.0, 0.0)
+# one severity of each kind, each with a premium rate 1.25 times its mean claim
+SEVERITIES = {
+    "exponential": Exponential(1.0),
+    "gamma": Gamma(2.5),
+    "point": PointMass(1.0),
+    "lattice": Lattice(0.25, (0.1, 0.2, 0.3, 0.25, 0.15)),
+    "mixture": MixtureOfExponentials((0.4, 0.6), (0.5, 2.0)),
+}
+
+
+def loaded_system(severity):
+    return RiskSystem(CompoundModel(1.0, severity), 1.25 * severity.mean, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -103,22 +118,36 @@ def test_seeds_past_2_to_the_63_have_their_own_streams():
 # ---------------------------------------------------------------------------
 
 
+def whole_chunk_draws(seed, chunk_id, n_paths, lam_t, sampler):
+    """Every draw of one chunk from one generator, in the stream order the
+    engine reaches through its cursors: one Poisson count per path, one
+    uniform per inner gap (all paths' gaps in path order), one per closing
+    gap, then all the claims in one sampler call."""
+    key = np.array([seed, chunk_id], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    counts = rng.poisson(lam_t, n_paths)
+    gaps = exponential_draws(rng, int(counts.sum()))
+    closing = exponential_draws(rng, n_paths)
+    return counts, gaps, closing, sampler(rng, gaps.size)
+
+
 def reference_paths(plan):
-    """Replay the exact draw schedule, take the whole chunk as one block and
-    split it into paths, so that the estimators can be evaluated with loops."""
+    """Replay the whole-chunk draw schedule of the plan's one chunk and split
+    it into paths, so that the estimators can be evaluated with loops. The
+    arrival times follow the engine's arithmetic for a chunk taken as one
+    block, which gives the same bits as any block size."""
     sys = plan.system
-    sampler = severity_sampler(sys.model.severity)
-    rng = np.random.Generator(np.random.Philox(key=[plan.seed, 0]))
-    counts, gaps, closing, x_ev = _draw_chunk(
-        rng, plan.n_paths, sys.model.rate, plan.horizon, sampler
+    counts, gaps, closing, x_ev = whole_chunk_draws(
+        plan.seed, 0, plan.n_paths, sys.model.rate * plan.horizon,
+        severity_sampler(sys.model.severity),
     )
-    ((_, starts, _, t_ev, _, _),) = _path_blocks(
-        counts, gaps, closing, x_ev, plan.horizon, plan.n_paths
-    )
+    cum = np.cumsum(np.concatenate([[0.0], gaps]))
+    starts = np.cumsum(counts) - counts
+    denom = cum[starts + counts] - cum[starts] + closing
     paths = []
-    for j in range(plan.n_paths):
-        sl = slice(starts[j], starts[j] + counts[j])
-        paths.append((t_ev[sl].copy(), x_ev[sl].copy()))
+    for start, n, d in zip(starts, counts, denom):
+        times = plan.horizon * (cum[start + 1 : start + n + 1] - cum[start]) / d
+        paths.append((times, x_ev[start : start + n].copy()))
     return paths
 
 
@@ -203,43 +232,48 @@ def test_vectorized_engine_matches_reference():
 def test_block_size_does_not_change_any_bit(monkeypatch, horizon):
     # one path per block, the default, and one block per chunk; at horizon
     # 0.5 about 61% of the paths have no claim, so many one-path blocks are
-    # empty, and at horizon 30 the default splits each full chunk in two
-    plan = make_plan(
-        horizon=horizon, n_paths=3_000, seed=47, chunk_paths=1_300,
-        tail_probes=((horizon / 3, 1.0), (horizon, 1.5)), ruin_levels=(0.1, 2.0),
-        hitting_levels=(0.2, 1.0), collect_ruin_times=0.5,
-    )
-    runs = []
-    for block_events in (1, montecarlo.BLOCK_EVENTS, 10**9):
-        monkeypatch.setattr(montecarlo, "BLOCK_EVENTS", block_events)
-        result = simulate(plan)
-        runs.append((estimates_csv(result), result.ruin_times.tobytes(), result.diagnostics))
-    assert runs[0] == runs[1] == runs[2]
-    assert result.ruin_times.size > 0
-    assert result.estimates["hitting(u=0.2)"].value > 0.0
-
-
-def test_chunk_memory_is_linear_in_the_draws():
-    # one chunk of about 2e6 events; its draws (gaps and claim sizes) take
-    # 16 bytes per event and the path blocks add a fixed amount on top; the
-    # lattice and mixture samplers hold a few more arrays while they draw
-    lattice = Lattice(0.25, (0.1, 0.2, 0.3, 0.25, 0.15))
-    mixture = MixtureOfExponentials((0.4, 0.6), (0.5, 2.0))
-    for severity, bytes_per_event in ((Exponential(1.0), 32), (lattice, 40), (mixture, 28)):
+    # empty, and at horizon 30 the default splits each full chunk in four
+    for name, severity in SEVERITIES.items():
         plan = make_plan(
-            system=RiskSystem(CompoundModel(1.0, severity), 1.25, 0.0),
-            horizon=320.0, n_paths=6_250, seed=53,
-            tail_probes=((100.0, 1.0),), ruin_levels=(5.0,), hitting_levels=(5.0,),
-            collect_ruin_times=10.0,
+            system=loaded_system(severity),
+            horizon=horizon, n_paths=3_000, seed=47, chunk_paths=1_300,
+            tail_probes=((horizon / 3, 1.0), (horizon, 1.5)), ruin_levels=(0.1, 2.0),
+            hitting_levels=(0.2, 1.0), collect_ruin_times=0.5,
         )
-        tracemalloc.start()
-        try:
+        runs = []
+        for block_events in (1, montecarlo.BLOCK_EVENTS, 10**9):
+            monkeypatch.setattr(montecarlo, "BLOCK_EVENTS", block_events)
             result = simulate(plan)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert result.diagnostics["chunk_paths"] == plan.n_paths
-        assert peak <= bytes_per_event * result.diagnostics["events"], severity
+            runs.append((estimates_csv(result), result.ruin_times.tobytes(), result.diagnostics))
+        monkeypatch.undo()  # the next law reads the default BLOCK_EVENTS again
+        assert runs[0] == runs[1] == runs[2], name
+        assert result.ruin_times.size > 0, name
+        assert result.estimates["hitting(u=0.2)"].value > 0.0, name
+
+
+def test_chunk_memory_does_not_grow_with_its_events():
+    # one chunk of 6,250 paths at horizon 32 (about 2e5 events) and at
+    # horizon 320 (about 2e6): the draws exist one block at a time, so the
+    # peak is the per-path outputs plus one block, whatever the event count
+    for name, severity in SEVERITIES.items():
+        peaks = []
+        for horizon in (32.0, 320.0):
+            plan = make_plan(
+                system=loaded_system(severity),
+                horizon=horizon, n_paths=6_250, seed=53,
+                tail_probes=((horizon / 3, 1.0),), ruin_levels=(5.0,), hitting_levels=(5.0,),
+                collect_ruin_times=10.0,
+            )
+            tracemalloc.start()
+            try:
+                result = simulate(plan)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result.diagnostics["chunk_paths"] >= plan.n_paths, name
+            peaks.append(peak)
+        assert result.diagnostics["events"] > 1.9e6, name
+        assert peaks[1] <= 1.05 * peaks[0], (name, peaks)
 
 
 def test_ruin_at_jump_and_hitting_between_jumps():
@@ -279,14 +313,52 @@ def test_ruin_at_jump_and_hitting_between_jumps():
 
 
 def test_poisson_counts():
-    # a chunk's path counts at rate 1 and horizon 7 are draws of N(7)
+    # a chunk's path counts at rate 1 and horizon 7 are draws of N(7), and
+    # the engine's chunk holds as many events as they add up to
     lam_t, n_paths = 7.0, 100_000
-    rng = np.random.Generator(np.random.Philox(key=[17, 0]))
-    counts = _draw_chunk(rng, n_paths, 1.0, lam_t, severity_sampler(Exponential(1.0)))[0]
+    counts = whole_chunk_draws(17, 0, n_paths, lam_t, severity_sampler(Exponential(1.0)))[0]
     mean_se = math.sqrt(lam_t / n_paths)
     var_se = math.sqrt((2 * lam_t**2 + lam_t) / n_paths)
     assert abs(counts.mean() - lam_t) <= 3 * mean_se
     assert abs(counts.var(ddof=1) - lam_t) <= 3 * var_se
+    plan = SimulationPlan(EXP_SYS, lam_t, n_paths, 17, chunk_paths=n_paths)
+    assert simulate(plan).diagnostics["events"] == counts.sum()
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    lam_t=st.floats(0.05, 60.0),
+    n_paths=st.integers(1, 40),
+    words=st.integers(0, 5_000),
+)
+@settings(max_examples=60, deadline=None)
+# the Poisson draws leave the stream at buffer positions 2, 1, 3 and 4 of a Philox block
+@example(seed=5, lam_t=3.0, n_paths=1, words=0)
+@example(seed=5, lam_t=3.0, n_paths=2, words=1)
+@example(seed=5, lam_t=3.0, n_paths=3, words=6)
+@example(seed=5, lam_t=3.0, n_paths=7, words=3)
+@example(seed=2**64 - 1, lam_t=30.0, n_paths=40, words=4_999)
+def test_cursor_draws_what_the_sequential_stream_draws(seed, lam_t, n_paths, words):
+    bit_generator = np.random.Philox(key=np.array([seed, 3], dtype=np.uint64))
+    rng = np.random.Generator(bit_generator)
+    rng.poisson(lam_t, n_paths)
+    assert bit_generator.state["has_uint32"] == 0  # whole words only
+    cursor = _cursor(bit_generator, words)
+    # the cursor leaves the stream it was opened on where it was
+    sequential = rng.random(words + 9)[words:]
+    assert cursor.random(9).tobytes() == sequential.tobytes()
+
+
+@pytest.mark.parametrize("split", [(0, 7), (1, 1), (3, 5), (250, 1), (1_000, 333)])
+@pytest.mark.parametrize("severity", [*SEVERITIES.values(), Gamma(0.5)],
+                         ids=[*SEVERITIES.keys(), "gamma-shape0.5"])
+def test_sample_in_two_calls_is_one_call(severity, split):
+    a, b = split
+    key = np.array([123, 0], dtype=np.uint64)
+    once = severity.sample(np.random.Generator(np.random.Philox(key=key)), a + b)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    twice = np.concatenate([severity.sample(rng, a), severity.sample(rng, b)])
+    assert twice.tobytes() == once.tobytes()
 
 
 def test_point_mass_tail_probe():
@@ -379,9 +451,9 @@ def test_lattice_sampler_frequencies():
         ]),
         (PointMass(1.25), [1.25] * 8),
         (MixtureOfExponentials((0.4, 0.6), (0.5, 2.0)), [
-            0.6486598222165916, 0.06613930527618558, 3.035333791422367,
-            10.294138429944685, 2.356557913628319, 3.325928875508078,
-            1.62249959657615, 0.21891128328051002,
+            0.10154816097969672, 0.4713667026972345, 0.22479164766259765,
+            0.3094200896997103, 0.016534826319046396, 2.573534607486171,
+            0.8314822188770195, 0.21891128328051002,
         ]),
         (Lattice(0.25, (0.1, 0.05, 0.4, 0.15, 0.3)), [
             0.75, 0.75, 0.5, 0.5, 1.25, 0.75, 0.75, 0.75,
