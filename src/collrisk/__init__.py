@@ -46,7 +46,6 @@ from .montecarlo import (
     RuinTimeStudy,
     SimulationPlan,
     SimulationResult,
-    estimates_csv,
     ruin_time_samples,
     ruin_times_text,
     simulate,

@@ -400,7 +400,7 @@ def cmd_tail(spec: ModelSpec, args: argparse.Namespace) -> str:
     if args.mc:
         result = montecarlo.simulate(_plan(system, controls, t, args.workers,
                                            tail_probes=((t, x),)))
-        est = result.estimates[f"tail(t={t:g};x={x:g})"]
+        est = result.estimates[montecarlo.estimate_key("tail", t=t, x=x)]
         rows.append(("monte-carlo", t, x, est.value, est.std_error, f"n={est.n_effective}"))
 
     return _render(["method", "t", "x", "value", "std_error", "note"], rows, args.format)
@@ -459,7 +459,7 @@ def cmd_ruin(spec: ModelSpec, args: argparse.Namespace) -> str:
         result = montecarlo.simulate(_plan(system, controls, horizon, args.workers,
                                            ruin_levels=tuple(u_list)))
         for u in u_list:
-            est = result.estimates[f"ruin(u={u:g})"]
+            est = result.estimates[montecarlo.estimate_key("ruin", u=u)]
             rows.append(("monte-carlo", u, horizon, est.value, est.std_error))
 
     if args.record:
@@ -529,7 +529,7 @@ def cmd_seal(spec: ModelSpec, args: argparse.Namespace) -> str:
 
     if args.mc:
         plan = _plan(system, controls, t, args.workers, ruin_levels=(u,))
-        est = montecarlo.simulate(plan).estimates[f"ruin(u={u:g})"]
+        est = montecarlo.simulate(plan).estimates[montecarlo.estimate_key("ruin", u=u)]
         rows.append(("monte-carlo", u, t, est.value, est.std_error))
 
     return _render(["method", "u", "t", "value", "error"], rows, args.format)

@@ -46,7 +46,7 @@ __all__ = [
     "ruin_time_samples",
     "default_horizon",
     "severity_sampler",
-    "estimates_csv",
+    "estimate_key",
     "ruin_times_text",
 ]
 
@@ -80,13 +80,16 @@ class SimulationPlan:
     """Everything needed to reproduce a simulation bit-for-bit.
 
     Frequency estimators: ``tail_probes`` asks for P(S(t) >= t*x) per
-    (t, x); ``ruin_levels`` for the frequency of ruin by the horizon per
-    capital u; ``hitting_levels`` for passage of U to -u by the horizon;
-    ``collect_ruin_times`` for the ruin frequency at one more capital,
-    whose conditional ruin-time samples are kept as well. ``chunk_paths``
-    fixes the paths per chunk (default: about 2e6 expected events per
-    chunk); it is part of the stream, so it changes the results. ``simulate``
-    refuses a plan that expects more than ``EVENT_BUDGET`` claim events.
+    (t, x) with 0 < t <= horizon; ``ruin_levels`` for the frequency of
+    ruin by the horizon per capital u >= 0; ``hitting_levels`` for passage
+    of U = S - c*t down to -u by the horizon, per u > 0;
+    ``collect_ruin_times`` for the ruin frequency at one more capital
+    u >= 0, whose conditional ruin-time samples are kept as well. These are
+    the domains of the analytic twins (``ruin_panjer``, ``hitting_below``);
+    a level outside them raises ``DomainError``. ``chunk_paths`` fixes the
+    paths per chunk (default: about 2e6 expected events per chunk); it is
+    part of the stream, so it changes the results. ``simulate`` refuses a
+    plan that expects more than ``EVENT_BUDGET`` claim events.
     """
 
     system: RiskSystem
@@ -111,6 +114,17 @@ class SimulationPlan:
             raise DomainError(f"workers must be >= 1, got {self.workers}")
         if self.chunk_paths is not None and self.chunk_paths < 1:
             raise DomainError(f"chunk_paths must be >= 1, got {self.chunk_paths}")
+        for t, _ in self.tail_probes:
+            if not 0.0 < t <= self.horizon:
+                raise DomainError(f"tail_probes times must lie in (0, {self.horizon:g}], got {t:g}")
+        for field, levels in (("ruin_levels", self.ruin_levels),
+                              ("collect_ruin_times", _collected(self))):
+            for u in levels:
+                if not u >= 0.0:
+                    raise DomainError(f"{field} must be >= 0, got {u:g}")
+        for u in self.hitting_levels:
+            if not u > 0.0:
+                raise DomainError(f"hitting_levels must be positive, got {u:g}")
 
 
 @dataclass(frozen=True)
@@ -140,14 +154,21 @@ def _collected(plan: SimulationPlan) -> tuple[float, ...]:
     return () if plan.collect_ruin_times is None else (plan.collect_ruin_times,)
 
 
+def estimate_key(kind: str, **levels: float) -> str:
+    """The name of an estimate in ``SimulationResult.estimates``: ``kind``
+    and its levels at 12 significant digits, the precision the CLI prints,
+    as in ``ruin(u=2)`` or ``tail(t=10;x=1.5)``."""
+    return f"{kind}(" + ";".join(f"{name}={v:.12g}" for name, v in levels.items()) + ")"
+
+
 def _estimator_names(plan: SimulationPlan) -> list[str]:
     """The estimate named by each entry of a chunk's count vector, in order:
     tail probes, ruin levels, hitting levels, then the collected ruin level."""
     return (
-        [f"tail(t={t:g};x={x:g})" for t, x in plan.tail_probes]
-        + [f"ruin(u={u:g})" for u in plan.ruin_levels]
-        + [f"hitting(u={u:g})" for u in plan.hitting_levels]
-        + [f"ruin(u={u:g})" for u in _collected(plan)]
+        [estimate_key("tail", t=t, x=x) for t, x in plan.tail_probes]
+        + [estimate_key("ruin", u=u) for u in plan.ruin_levels]
+        + [estimate_key("hitting", u=u) for u in plan.hitting_levels]
+        + [estimate_key("ruin", u=u) for u in _collected(plan)]
     )
 
 
@@ -235,8 +256,7 @@ def _segment(
     return out
 
 
-def _first_hitting_times(
-    u: float,
+def _trough(
     t_ev: np.ndarray,
     cum_loss: np.ndarray,
     starts: np.ndarray,
@@ -244,28 +264,15 @@ def _first_hitting_times(
     premium: float,
     horizon: float,
 ) -> np.ndarray:
-    """First time U(t) = -u per path (inf when none within the horizon).
-
-    The passage happens while drifting down between jumps; within each
-    inter-jump segment the crossing time solves S - c*s = -u linearly.
-    """
-    ends = starts + counts
-    nz = np.flatnonzero(counts > 0)
+    """Lowest value of S - c*t per path up to the horizon. Between jumps it
+    only drifts down, so it lies at the end of a drift segment: just before
+    the path's first or next jump, or at the horizon."""
     t_next = np.empty_like(t_ev)
-    if t_ev.size:
-        t_next[:-1] = t_ev[1:]
-    if nz.size:
-        t_next[ends[nz] - 1] = horizon
-    candidate = (cum_loss + u) / premium
-    valid = (candidate > t_ev) & (candidate <= t_next)
-    first = _segment(np.minimum, np.where(valid, candidate, np.inf), starts, counts, np.inf)
-    # the initial drift segment, before any jump
-    first_event = np.full(counts.size, horizon)
-    if nz.size:
-        first_event[nz] = t_ev[starts[nz]]
-    s0 = u / premium
-    hit0 = s0 <= first_event
-    return np.where(hit0 & (s0 < first), s0, first)
+    t_next[:-1] = t_ev[1:]
+    t_next[(starts + counts - 1)[counts > 0]] = horizon
+    first_jump = _segment(np.minimum, t_ev, starts, counts, horizon)
+    low = _segment(np.minimum, cum_loss - premium * t_next, starts, counts, np.inf)
+    return np.minimum(low, -premium * first_jump)
 
 
 def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: int) -> _ChunkOut:
@@ -278,10 +285,12 @@ def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: i
     gaps right after the counts, closing gaps E words later and claims
     E + P words later, for E events and P paths. It fills per-path
     outputs: the loss by each tail probe's time, the highest post-jump
-    excess, the first passage per hitting level and the collected level's
-    ruin time (the first jump epoch whose excess S - c*t is above the
-    level; ruin can only happen at a jump, so checking the post-jump values
-    is exact). The counts come from those outputs after the last block.
+    excess S - c*t (``peak``), its lowest value by the horizon (``_trough``)
+    and the collected level's ruin time (the first jump epoch whose excess
+    is above the level). The excess rises only at jumps, so ruin at u is
+    ``peak > u`` and passage to -u is ``trough <= -u``: one peak and one
+    trough answer every level. The counts come from those outputs after
+    the last block.
     """
     sys = plan.system
     lam, c, horizon = sys.model.rate, sys.premium_rate, plan.horizon
@@ -296,10 +305,8 @@ def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: i
 
     collected = _collected(plan)
     tail_loss = np.empty((len(plan.tail_probes), n_paths))
-    # ruin by the horizon at u is a highest post-jump excess S - c*t above u,
-    # so one peak per path serves every level
     peak = np.empty(n_paths) if plan.ruin_levels or collected else None
-    first_hit = np.empty((len(plan.hitting_levels), n_paths))
+    trough = np.empty(n_paths) if plan.hitting_levels else None
     first_ruin = np.empty(n_paths) if collected else None
     block_paths = max(1, int(BLOCK_EVENTS / max(lam * horizon, 1.0)))
     blocks = _path_blocks(counts, gaps, closing, claims, sampler, horizon, block_paths)
@@ -307,8 +314,8 @@ def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: i
         p = slice(p0, p0 + cnt.size)
         for i, (t, _) in enumerate(plan.tail_probes):
             tail_loss[i, p] = _segment(np.add, np.where(t_ev <= t, x_blk, 0.0), starts, cnt, 0.0)
-        for i, u in enumerate(plan.hitting_levels):
-            first_hit[i, p] = _first_hitting_times(u, t_ev, cum_loss, starts, cnt, c, horizon)
+        if trough is not None:
+            trough[p] = _trough(t_ev, cum_loss, starts, cnt, c, horizon)
         if peak is not None:
             excess = cum_loss - c * t_ev
             peak[p] = _segment(np.maximum, excess, starts, cnt, -np.inf)
@@ -318,7 +325,7 @@ def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: i
 
     hits = [np.count_nonzero(loss >= t * x) for (t, x), loss in zip(plan.tail_probes, tail_loss)]
     hits += [np.count_nonzero(peak > u) for u in plan.ruin_levels]
-    hits += [np.count_nonzero(np.isfinite(first)) for first in first_hit]
+    hits += [np.count_nonzero(trough <= -u) for u in plan.hitting_levels]
     hits += [np.count_nonzero(peak > u) for u in collected]
     ruin_times = None if first_ruin is None else first_ruin[np.isfinite(first_ruin)]
     return _ChunkOut(np.array(hits, dtype=float), ruin_times, n_events)
@@ -454,7 +461,7 @@ def ruin_time_samples(plan: SimulationPlan) -> RuinTimeStudy:
         variance=var,
         expected_mean=u * sol.time_scale,
         expected_variance=u * sol.time_scale**3 * sol.sigma_sq,
-        ruin_frequency=result.estimates[f"ruin(u={u:g})"],
+        ruin_frequency=result.estimates[estimate_key("ruin", u=u)],
         pre_asymptotic=sol.R * u < 2.0,
     )
 
@@ -462,16 +469,6 @@ def ruin_time_samples(plan: SimulationPlan) -> RuinTimeStudy:
 # ---------------------------------------------------------------------------
 # Text interfaces
 # ---------------------------------------------------------------------------
-
-
-def estimates_csv(result: SimulationResult) -> str:
-    """CSV rows (estimator, value, std_error, n, seed), no header."""
-    lines = []
-    for name, est in result.estimates.items():
-        lines.append(
-            f"{name},{est.value:.12g},{est.std_error:.12g},{est.n_effective},{result.seed}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def ruin_times_text(times: np.ndarray) -> str:

@@ -23,13 +23,12 @@ from collrisk import (
     PointMass,
     RiskSystem,
     SimulationPlan,
-    estimates_csv,
     ruin_time_samples,
     ruin_times_text,
     simulate,
 )
 from collrisk import montecarlo
-from collrisk.montecarlo import _cursor, severity_sampler
+from collrisk.montecarlo import _cursor, estimate_key, severity_sampler
 from collrisk.severity import exponential_draws
 
 EXP_SYS = RiskSystem(CompoundModel(1.0, Exponential(1.0)), 1.25, 0.0)
@@ -70,7 +69,7 @@ def make_plan(**kw):
 
 def test_same_seed_reproduces_bitwise():
     r1, r2 = simulate(make_plan()), simulate(make_plan())
-    assert estimates_csv(r1) == estimates_csv(r2)
+    assert r1.estimates == r2.estimates
     assert np.array_equal(r1.ruin_times, r2.ruin_times)
     assert r1.diagnostics == r2.diagnostics
 
@@ -78,7 +77,7 @@ def test_same_seed_reproduces_bitwise():
 def test_worker_count_does_not_change_results():
     r1 = simulate(make_plan(workers=1))
     r8 = simulate(make_plan(workers=8))
-    assert estimates_csv(r1) == estimates_csv(r8)
+    assert r1.estimates == r8.estimates
     assert np.array_equal(r1.ruin_times, r8.ruin_times)
 
 
@@ -90,13 +89,11 @@ def test_worker_count_does_not_change_gamma_results():
                      tail_probes=((10.0, 3.0),), ruin_levels=(4.0,))
     r1 = simulate(plan)
     r4 = simulate(replace(plan, workers=4))
-    assert estimates_csv(r1) == estimates_csv(r4)
+    assert r1.estimates == r4.estimates
 
 
 def test_different_seeds_differ():
-    assert estimates_csv(simulate(make_plan())) != estimates_csv(
-        simulate(make_plan(seed=6))
-    )
+    assert simulate(make_plan()).estimates != simulate(make_plan(seed=6)).estimates
 
 
 @pytest.mark.parametrize("seed", [-1, -3, 2**64, 2**70])
@@ -175,23 +172,45 @@ def slow_first_hit(times, sizes, c, u, horizon):
     return math.inf
 
 
-ENGINE_PROBES = [
-    {},  # make_plan's one probe of each kind; the collected level is its ruin level
-    # several of each, a level of each kind that no path reaches, and a
-    # collected level equal to the second ruin level
-    dict(
-        tail_probes=((10.0, 1.5), (5.0, 0.5), (30.0, 50.0)),
-        ruin_levels=(2.0, 0.5, 1e3, 4.0),
-        hitting_levels=(1.0, 1e3, 4.0),
-        collect_ruin_times=0.5,
-    ),
-]
-UNREACHED = {"tail(t=30;x=50)", "ruin(u=1000)", "hitting(u=1000)"}
+def engine_probes(m):
+    """The reference test's plans, with every level in units of the claim mean m."""
+    return [
+        # make_plan's one probe of each kind; the collected level is its ruin level
+        dict(
+            tail_probes=((10.0, 1.5 * m),),
+            ruin_levels=(2.0 * m,),
+            hitting_levels=(m,),
+            collect_ruin_times=2.0 * m,
+        ),
+        # several of each, a level of each kind that no path reaches, and a
+        # collected level equal to the second ruin level
+        dict(
+            tail_probes=((10.0, 1.5 * m), (5.0, 0.5 * m), (30.0, 50.0 * m)),
+            ruin_levels=(2.0 * m, 0.5 * m, 1e3 * m, 4.0 * m),
+            hitting_levels=(m, 1e3 * m, 4.0 * m),
+            collect_ruin_times=0.5 * m,
+        ),
+    ]
 
 
-def test_vectorized_engine_matches_reference():
-    for probes in ENGINE_PROBES:
-        plan = make_plan(n_paths=400, horizon=30.0, chunk_paths=400, **probes)
+# the five claim laws at loading 0.25, and one law with negative loading, under
+# which ruin at every level is certain in the long run
+ENGINE_SYSTEMS = {
+    **{name: loaded_system(severity) for name, severity in SEVERITIES.items()},
+    "negative-loading": RiskSystem(CompoundModel(1.0, Exponential(1.0)), 0.8, 0.0),
+}
+
+
+@pytest.mark.parametrize("system", ENGINE_SYSTEMS.values(), ids=ENGINE_SYSTEMS.keys())
+def test_vectorized_engine_matches_reference(system):
+    m = system.model.severity.mean
+    unreached = {
+        estimate_key("tail", t=30.0, x=50.0 * m),
+        estimate_key("ruin", u=1e3 * m),
+        estimate_key("hitting", u=1e3 * m),
+    }
+    for probes in engine_probes(m):
+        plan = make_plan(system=system, n_paths=400, horizon=30.0, chunk_paths=400, **probes)
         result = simulate(plan)
         paths = reference_paths(plan)
         c, n = plan.system.premium_rate, plan.n_paths
@@ -201,7 +220,7 @@ def test_vectorized_engine_matches_reference():
             tail_hits = sum(
                 1 for times, sizes in paths if sizes[times <= t].sum() >= t * x
             )
-            names.append(f"tail(t={t:g};x={x:g})")
+            names.append(estimate_key("tail", t=t, x=x))
             assert result.estimates[names[-1]].value == tail_hits / n
 
         for u in plan.ruin_levels:
@@ -209,7 +228,7 @@ def test_vectorized_engine_matches_reference():
                 slow_first_ruin(times, sizes, c, u) for times, sizes in paths
             ]
             finite = [rt for rt in ruin_times if math.isfinite(rt)]
-            names.append(f"ruin(u={u:g})")
+            names.append(estimate_key("ruin", u=u))
             assert result.estimates[names[-1]].value == len(finite) / n
             if u == plan.collect_ruin_times:
                 assert np.array_equal(result.ruin_times, np.array(finite))
@@ -219,13 +238,13 @@ def test_vectorized_engine_matches_reference():
                 slow_first_hit(times, sizes, c, uh, plan.horizon) for times, sizes in paths
             ]
             n_hits = sum(1 for h in hits if math.isfinite(h))
-            names.append(f"hitting(u={uh:g})")
+            names.append(estimate_key("hitting", u=uh))
             assert result.estimates[names[-1]].value == n_hits / n
 
         # the collected level keeps its ruin level's place
         assert list(result.estimates) == names
         for name in names:
-            assert (result.estimates[name].value == 0.0) == (name in UNREACHED), name
+            assert (result.estimates[name].value == 0.0) == (name in unreached), name
 
 
 @pytest.mark.parametrize("horizon", [0.5, 30.0], ids=["mostly-empty", "long"])
@@ -244,11 +263,22 @@ def test_block_size_does_not_change_any_bit(monkeypatch, horizon):
         for block_events in (1, montecarlo.BLOCK_EVENTS, 10**9):
             monkeypatch.setattr(montecarlo, "BLOCK_EVENTS", block_events)
             result = simulate(plan)
-            runs.append((estimates_csv(result), result.ruin_times.tobytes(), result.diagnostics))
+            runs.append((result.estimates, result.ruin_times.tobytes(), result.diagnostics))
         monkeypatch.undo()  # the next law reads the default BLOCK_EVENTS again
         assert runs[0] == runs[1] == runs[2], name
         assert result.ruin_times.size > 0, name
         assert result.estimates["hitting(u=0.2)"].value > 0.0, name
+
+
+def traced_peak(plan):
+    """The result of ``simulate(plan)`` and the peak of its traced allocations."""
+    tracemalloc.start()
+    try:
+        result = simulate(plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def test_chunk_memory_does_not_grow_with_its_events():
@@ -264,16 +294,28 @@ def test_chunk_memory_does_not_grow_with_its_events():
                 tail_probes=((horizon / 3, 1.0),), ruin_levels=(5.0,), hitting_levels=(5.0,),
                 collect_ruin_times=10.0,
             )
-            tracemalloc.start()
-            try:
-                result = simulate(plan)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            result, peak = traced_peak(plan)
             assert result.diagnostics["chunk_paths"] >= plan.n_paths, name
             peaks.append(peak)
         assert result.diagnostics["events"] > 1.9e6, name
         assert peaks[1] <= 1.05 * peaks[0], (name, peaks)
+
+
+def test_chunk_memory_does_not_grow_with_the_hitting_levels():
+    # one 2e6-event chunk with 1 and with 64 hitting levels: one per-path
+    # trough answers every level, so the peak is the same
+    peaks = []
+    for n_levels in (1, 64):
+        plan = make_plan(
+            horizon=320.0, n_paths=6_250, seed=59, tail_probes=(), ruin_levels=(),
+            hitting_levels=tuple(float(u) for u in range(1, n_levels + 1)),
+            collect_ruin_times=None,
+        )
+        result, peak = traced_peak(plan)
+        assert result.diagnostics["chunk_paths"] >= plan.n_paths
+        assert len(result.estimates) == n_levels
+        peaks.append(peak)
+    assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
 def test_ruin_at_jump_and_hitting_between_jumps():
@@ -556,7 +598,43 @@ def test_plan_validation():
             SimulationPlan(system=EXP_SYS, horizon=1.0, n_paths=10, seed=1, chunk_paths=chunk_paths)
 
 
-def test_estimates_csv_shape():
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("tail_probes", ((20.0, 1.0),), r"tail_probes times must lie in \(0, 10\], got 20"),
+        ("tail_probes", ((0.0, 1.0),), r"tail_probes times must lie in \(0, 10\], got 0"),
+        ("ruin_levels", (2.0, -1.0), "ruin_levels must be >= 0, got -1"),
+        ("collect_ruin_times", -1.0, "collect_ruin_times must be >= 0, got -1"),
+        ("hitting_levels", (0.0,), "hitting_levels must be positive, got 0"),
+        ("hitting_levels", (1.0, -1.0), "hitting_levels must be positive, got -1"),
+    ],
+    ids=["tail-past-horizon", "tail-at-zero", "ruin-negative", "collected-negative",
+         "hitting-zero", "hitting-negative"],
+)
+def test_plan_refuses_levels_outside_their_analytic_domains(field, value, message):
+    # the domains of ruin_panjer and hitting_below: a tail probe past the
+    # horizon would count only the loss up to it, ruin below 0 is certain at
+    # time 0, and U starts at 0, so passage to 0 or above is immediate
+    with pytest.raises(DomainError, match=message):
+        make_plan(horizon=10.0, **{field: value})
+
+
+def test_plan_accepts_the_edges_of_those_domains():
+    plan = make_plan(horizon=10.0, n_paths=500, tail_probes=((10.0, 1.0),),
+                     ruin_levels=(0.0,), hitting_levels=(1e-9,), collect_ruin_times=0.0)
+    assert len(simulate(plan).estimates) == 3
+
+
+def test_levels_that_agree_to_six_digits_get_their_own_estimates():
+    plan = make_plan(n_paths=2_000, ruin_levels=(2.0, 2.0000001),
+                     hitting_levels=(1.0, 1.0000001), collect_ruin_times=None)
+    assert list(simulate(plan).estimates) == [
+        "tail(t=10;x=1.5)", "ruin(u=2)", "ruin(u=2.0000001)", "hitting(u=1)",
+        "hitting(u=1.0000001)",
+    ]
+
+
+def test_estimates_shape():
     plan = SimulationPlan(
         system=UNIT_SYS,
         horizon=1.0,
@@ -565,19 +643,16 @@ def test_estimates_csv_shape():
         tail_probes=((1.0, 1.0),),
         ruin_levels=(0.5,),
     )
-    text = estimates_csv(simulate(plan))
-    lines = text.strip().splitlines()
-    assert len(lines) == 2
-    for line in lines:
-        name, value, se, n, seed = line.split(",")
-        assert name
-        assert 0.0 <= float(value) <= 1.0
-        assert float(se) >= 0.0
-        assert int(n) == 2_000
-        assert int(seed) == 3
+    result = simulate(plan)
+    assert result.seed == 3
+    assert list(result.estimates) == ["tail(t=1;x=1)", "ruin(u=0.5)"]
+    for est in result.estimates.values():
+        assert 0.0 <= est.value <= 1.0
+        assert est.std_error >= 0.0
+        assert est.n_effective == 2_000
 
 
-def test_estimates_csv_is_pinned():
+def test_estimates_are_pinned():
     # recorded before tail, ruin and hitting counts shared one count vector:
     # any change to the stream, the scan or the reduction order shows here
     plan = make_plan(
@@ -585,15 +660,21 @@ def test_estimates_csv_is_pinned():
         tail_probes=((10.0, 1.5), (5.0, 0.5)), ruin_levels=(2.0, 0.5, 50.0),
         hitting_levels=(1.0, 4.0), collect_ruin_times=0.5,
     )
-    assert estimates_csv(simulate(plan)) == (
-        "tail(t=10;x=1.5),0.139666666667,0.00632982241828,3000,13\n"
-        "tail(t=5;x=0.5),0.788333333333,0.0074592119497,3000,13\n"
-        "ruin(u=2),0.488666666667,0.0091278853675,3000,13\n"
-        "ruin(u=0.5),0.716333333333,0.00823139608998,3000,13\n"
-        "ruin(u=50),0,0,3000,13\n"
-        "hitting(u=1),0.977666666667,0.00269826093176,3000,13\n"
-        "hitting(u=4),0.869666666667,0.00614774620868,3000,13\n"
-    )
+    # paths counted and the standard error at 12 digits, out of 3,000
+    pinned = {
+        "tail(t=10;x=1.5)": (419, "0.00632982241828"),
+        "tail(t=5;x=0.5)": (2365, "0.0074592119497"),
+        "ruin(u=2)": (1466, "0.0091278853675"),
+        "ruin(u=0.5)": (2149, "0.00823139608998"),
+        "ruin(u=50)": (0, "0"),
+        "hitting(u=1)": (2933, "0.00269826093176"),
+        "hitting(u=4)": (2609, "0.00614774620868"),
+    }
+    estimates = simulate(plan).estimates
+    assert {name: (est.value, f"{est.std_error:.12g}", est.n_effective)
+            for name, est in estimates.items()} == {
+        name: (hits / 3000, se, 3000) for name, (hits, se) in pinned.items()
+    }
 
 
 def test_ruin_times_text_round_trip():
