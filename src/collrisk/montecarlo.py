@@ -73,6 +73,7 @@ EVENT_BUDGET = 2e9  # most expected claim events one ``simulate`` may draw
 # (96 KiB each) stay under the C allocator's default 128 KiB mmap threshold, so they
 # are not mapped and page-faulted afresh for every block
 BLOCK_EVENTS = 12_288
+DENSE_RUIN = 0.125  # above this share of ruined paths, a block scans every event for first breaches
 
 
 @dataclass(frozen=True)
@@ -236,13 +237,17 @@ def _path_blocks(
         n_ev = int(cnt.sum())
         starts = np.cumsum(cnt) - cnt
         cum = np.cumsum(np.concatenate([[t_carry], exponential_draws(gaps, n_ev)]))
-        x_ev = sampler(claims, n_ev)
-        cum_x = np.cumsum(np.concatenate([[x_carry], x_ev]))
-        t_carry, x_carry = cum[-1], cum_x[-1]
         denom = cum[starts + cnt] - cum[starts] + exponential_draws(closing, cnt.size)
         t_ev = horizon * (cum[1:] - np.repeat(cum[starts], cnt)) / np.repeat(denom, cnt)
+        t_carry = cum[-1]
+        del cum, denom  # each running sum goes once read: few block arrays live at once
+        x_ev = sampler(claims, n_ev)
+        cum_x = np.cumsum(np.concatenate([[x_carry], x_ev]))
         cum_loss = cum_x[1:] - np.repeat(cum_x[starts], cnt)
+        x_carry = cum_x[-1]
+        del cum_x
         yield p0, starts, cnt, t_ev, x_ev, cum_loss
+        del t_ev, x_ev, cum_loss  # freed before the next block's draws
 
 
 def _segment(
@@ -267,12 +272,42 @@ def _trough(
     """Lowest value of S - c*t per path up to the horizon. Between jumps it
     only drifts down, so it lies at the end of a drift segment: just before
     the path's first or next jump, or at the horizon."""
-    t_next = np.empty_like(t_ev)
-    t_next[:-1] = t_ev[1:]
-    t_next[(starts + counts - 1)[counts > 0]] = horizon
+    drift = np.empty_like(t_ev)  # the next jump's time, then cum_loss - c*t there in place
+    drift[:-1] = t_ev[1:]
+    drift[(starts + counts - 1)[counts > 0]] = horizon
+    drift *= -premium
+    drift += cum_loss
     first_jump = _segment(np.minimum, t_ev, starts, counts, horizon)
-    low = _segment(np.minimum, cum_loss - premium * t_next, starts, counts, np.inf)
+    low = _segment(np.minimum, drift, starts, counts, np.inf)
     return np.minimum(low, -premium * first_jump)
+
+
+def _first_breach(
+    excess: np.ndarray,
+    t_ev: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    peak: np.ndarray,
+    u: float,
+) -> np.ndarray:
+    """Per path, the first jump epoch whose excess is above ``u`` (inf if none).
+
+    Only paths whose ``peak`` passes ``u`` have such an epoch. When they are
+    few, only their events are gathered and scanned; when they are many, one
+    scan of every event is cheaper. Both take the least breach time of each
+    ruined path's events, so both give the same bits.
+    """
+    out = np.full(counts.size, np.inf)
+    ruined = np.flatnonzero(peak > u)
+    if ruined.size > DENSE_RUIN * counts.size:
+        # from one ruined path's start to the next, the other paths add no breach
+        out[ruined] = np.minimum.reduceat(np.where(excess > u, t_ev, np.inf), starts[ruined])
+    elif ruined.size:
+        n = counts[ruined]
+        local = np.cumsum(n) - n  # each ruined path's first event among the gathered
+        idx = np.arange(int(n.sum())) + np.repeat(starts[ruined] - local, n)
+        out[ruined] = np.minimum.reduceat(np.where(excess[idx] > u, t_ev[idx], np.inf), local)
+    return out
 
 
 def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: int) -> _ChunkOut:
@@ -317,11 +352,13 @@ def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: i
         if trough is not None:
             trough[p] = _trough(t_ev, cum_loss, starts, cnt, c, horizon)
         if peak is not None:
-            excess = cum_loss - c * t_ev
+            excess = t_ev * -c  # then cum_loss - c*t_ev in place, bit for bit, with no temporary
+            excess += cum_loss
             peak[p] = _segment(np.maximum, excess, starts, cnt, -np.inf)
             for u in collected:
-                breach = np.where(excess > u, t_ev, np.inf)
-                first_ruin[p] = _segment(np.minimum, breach, starts, cnt, np.inf)
+                first_ruin[p] = _first_breach(excess, t_ev, starts, cnt, peak[p], u)
+            del excess
+        del t_ev, x_blk, cum_loss  # freed before the next block is drawn
 
     hits = [np.count_nonzero(loss >= t * x) for (t, x), loss in zip(plan.tail_probes, tail_loss)]
     hits += [np.count_nonzero(peak > u) for u in plan.ruin_levels]

@@ -308,19 +308,35 @@ def _mixture_roots(system: RiskSystem) -> tuple[tuple[float, ...], tuple[float, 
     if mix is None:
         raise DomainError("exact evaluation needs an exponential or mixture severity")
     lam, c = system.model.rate, system.premium_rate
-    w = np.asarray(mix.weights)
-    b = np.asarray(mix.rates)
+    w, b = mix._arrays
+    wb = mix._products[0]
     r = system.model.mean_rate / c
 
-    def psi(xi: float) -> float:
-        return float(lam * np.sum(w / (b - xi))) - c
+    # psi(xi) = lambda sum w/(b - xi) - c and its derivative; gp_extended is the
+    # analytic continuation of g' beyond the abscissa (a rational function)
+    if b.size <= 2:
+        # one or two terms add to the same float in any order, so numpy scalars give
+        # the array sums' bits (and infs) without the cost of array calls
+        terms = list(zip(w, wb, b))
 
-    def psi_prime(xi: float) -> float:
-        return float(lam * np.sum(w / (b - xi) ** 2))
+        def psi(xi: float) -> float:
+            return float(lam * sum([wi / (bi - xi) for wi, _, bi in terms])) - c
 
-    def gp_extended(xi: float) -> float:
-        # analytic continuation of g' beyond the abscissa (rational function)
-        return float(lam * np.sum(w * b / (b - xi) ** 2))
+        def psi_prime(xi: float) -> float:
+            return float(lam * sum([wi / ((bi - xi) * (bi - xi)) for wi, _, bi in terms]))
+
+        def gp_extended(xi: float) -> float:
+            return float(lam * sum([wbi / ((bi - xi) * (bi - xi)) for _, wbi, bi in terms]))
+    else:
+        # ndarray.sum, the reduction of np.sum without its Python wrapper
+        def psi(xi: float) -> float:
+            return float(lam * (w / (b - xi)).sum()) - c
+
+        def psi_prime(xi: float) -> float:
+            return float(lam * (w / (b - xi) ** 2).sum())
+
+        def gp_extended(xi: float) -> float:
+            return float(lam * (wb / (b - xi) ** 2).sum())
 
     roots: list[float] = []
     edges = np.concatenate([[0.0], b])
@@ -565,7 +581,10 @@ class FiniteTimeBound:
 
     H(t) = t*h(c + 1/t) (positive loading) is strictly convex with minimum
     |R| at the time scale t_bar; ``side`` says whether the bound applies
-    to ruin by u*t (early) or after u*t (late).
+    to ruin by u*t (early) or after u*t (late). The level c +- 1/t_bar is
+    g'(R), whose tilt is R itself, so ``exponent_at_scale`` = H(t_bar) is
+    computed from the root as t_bar*(g'(R)*R - g(R)) = |R|, with no entropy
+    solve.
     """
 
     exponent: float
@@ -595,7 +614,7 @@ def finite_time_bound(system: RiskSystem, u: float, t: float) -> FiniteTimeBound
         level_at_scale = c - 1.0 / sol.time_scale
     exponent = t * entropy(system.model, level).h
     side = "early" if t <= sol.time_scale else "late"
-    at_scale = sol.time_scale * entropy(system.model, level_at_scale).h
+    at_scale = sol.time_scale * max(level_at_scale * sol.R - system.model.g(sol.R), 0.0)
     return FiniteTimeBound(
         exponent, math.exp(-u * exponent), side, sol.time_scale, at_scale, sol.R
     )

@@ -162,6 +162,10 @@ class Exponential(SeverityModel):
         return Exponential(self.rate - a)
 
     def as_mixture(self) -> "MixtureOfExponentials":
+        return self._mixture
+
+    @cached_property  # built and checked once per law
+    def _mixture(self) -> "MixtureOfExponentials":
         return MixtureOfExponentials((1.0,), (self.rate,))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -302,29 +306,35 @@ class MixtureOfExponentials(SeverityModel):
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.weights), np.asarray(self.rates)
 
+    @cached_property  # w*b and 2*w*b, associated as the transforms multiply them
+    def _products(self) -> tuple[np.ndarray, np.ndarray]:
+        w, b = self._arrays
+        return w * b, 2.0 * w * b
+
+    # ndarray.sum is np.sum's reduction without its Python wrapper: the same bits
     def mgf(self, xi: float) -> float:
         self._check_tilt(xi)
-        w, b = self._arrays
-        return float(np.sum(w * b / (b - xi)))
+        b = self._arrays[1]
+        return float((self._products[0] / (b - xi)).sum())
 
     def mgf_m1(self, xi: float) -> float:
         self._check_tilt(xi)
         w, b = self._arrays
-        return float(np.sum(w * xi / (b - xi)))
+        return float((w * xi / (b - xi)).sum())
 
     def mgf_prime(self, xi: float) -> float:
         self._check_tilt(xi)
-        w, b = self._arrays
-        return float(np.sum(w * b / (b - xi) ** 2))
+        b = self._arrays[1]
+        return float((self._products[0] / (b - xi) ** 2).sum())
 
     def mgf_second(self, xi: float) -> float:
         self._check_tilt(xi)
-        w, b = self._arrays
-        return float(np.sum(2.0 * w * b / (b - xi) ** 3))
+        b = self._arrays[1]
+        return float((self._products[1] / (b - xi) ** 3).sum())
 
     def moment(self, k: int) -> float:
         w, b = self._arrays
-        return float(math.factorial(k) * np.sum(w / b**k))
+        return float(math.factorial(k) * (w / b**k).sum())
 
     def sf(self, x: float) -> float:
         if x <= 0:
@@ -381,25 +391,31 @@ class Lattice(SeverityModel):
     def _cells(self) -> tuple[np.ndarray, np.ndarray]:
         return np.arange(1, self._dist.size) * self.span, self._dist.masses[1:]
 
+    @cached_property  # f*x and f*x**2, associated as the transforms multiply them
+    def _products(self) -> tuple[np.ndarray, np.ndarray]:
+        x, f = self._cells
+        return f * x, f * x**2
+
+    # ndarray.sum is np.sum's reduction without its Python wrapper: the same bits
     def mgf(self, xi: float) -> float:
         x, f = self._cells
-        return float(np.sum(f * np.exp(xi * x)))
+        return float((f * np.exp(xi * x)).sum())
 
     def mgf_m1(self, xi: float) -> float:
         x, f = self._cells
-        return float(np.sum(f * np.expm1(xi * x)))
+        return float((f * np.expm1(xi * x)).sum())
 
     def mgf_prime(self, xi: float) -> float:
-        x, f = self._cells
-        return float(np.sum(f * x * np.exp(xi * x)))
+        x = self._cells[0]
+        return float((self._products[0] * np.exp(xi * x)).sum())
 
     def mgf_second(self, xi: float) -> float:
-        x, f = self._cells
-        return float(np.sum(f * x**2 * np.exp(xi * x)))
+        x = self._cells[0]
+        return float((self._products[1] * np.exp(xi * x)).sum())
 
     def moment(self, k: int) -> float:
         x, f = self._cells
-        return float(np.sum(f * x**k))
+        return float((f * x**k).sum())
 
     def sf(self, x: float) -> float:
         pts, f = self._cells

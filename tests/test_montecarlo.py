@@ -270,6 +270,21 @@ def test_block_size_does_not_change_any_bit(monkeypatch, horizon):
         assert result.estimates["hitting(u=0.2)"].value > 0.0, name
 
 
+@pytest.mark.parametrize("u", [0.0, 2.0, 8.0])
+def test_first_breach_gather_and_full_scan_agree_bit_for_bit(monkeypatch, u):
+    # the collected level's ruin times from the ruined paths' gathered events
+    # and from a scan of every event, at ruin frequencies from 0.8 down
+    for name, severity in SEVERITIES.items():
+        plan = make_plan(system=loaded_system(severity), horizon=30.0, n_paths=3_000, seed=61,
+                         chunk_paths=1_000, tail_probes=(), ruin_levels=(), hitting_levels=(),
+                         collect_ruin_times=u * severity.mean)
+        runs = []
+        for dense in (0.0, 1.0):  # scan whenever a path is ruined; gather always
+            monkeypatch.setattr(montecarlo, "DENSE_RUIN", dense)
+            runs.append(simulate(plan).ruin_times.tobytes())
+        assert runs[0] == runs[1] and len(runs[0]) > 0, name
+
+
 def traced_peak(plan):
     """The result of ``simulate(plan)`` and the peak of its traced allocations."""
     tracemalloc.start()
@@ -316,6 +331,22 @@ def test_chunk_memory_does_not_grow_with_the_hitting_levels():
         assert len(result.estimates) == n_levels
         peaks.append(peak)
     assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+def test_a_ruin_level_costs_no_more_memory_than_a_tail_probe():
+    # one 2e6-event chunk, once with one tail probe and once with one ruin
+    # level: each block's arrays are dropped before the next block is drawn,
+    # and the excess is built in place, so the scans peak alike
+    none = dict(tail_probes=(), ruin_levels=(), hitting_levels=(), collect_ruin_times=None)
+    for name, severity in SEVERITIES.items():
+        peaks = []
+        for probes in (dict(tail_probes=((320.0, 1.0),)), dict(ruin_levels=(5.0,))):
+            plan = make_plan(system=loaded_system(severity), horizon=320.0, n_paths=6_250,
+                             seed=53, **{**none, **probes})
+            result, peak = traced_peak(plan)
+            assert result.diagnostics["chunk_paths"] >= plan.n_paths, name
+            peaks.append(peak)
+        assert peaks[1] <= 1.02 * peaks[0], (name, peaks)
 
 
 def test_ruin_at_jump_and_hitting_between_jumps():

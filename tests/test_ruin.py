@@ -40,6 +40,8 @@ from collrisk import (
     ruin_time_clt,
     seal,
 )
+from collrisk import cumulant as cumulant_module
+from collrisk import ruin as ruin_module
 from collrisk.lattice import steps_within
 from collrisk.ruin import _crossing_sum
 
@@ -783,3 +785,61 @@ def test_failed_solves_are_not_stored():
         with pytest.raises(DomainError, match="level must be positive"):
             entropy(model, 0.0)
     assert model._roots == {}
+
+
+def _record_newton(monkeypatch):
+    """Every safeguarded_newton call of lundberg, entropy and the mixture roots,
+    as its (f, fprime); the solves themselves run unchanged."""
+    calls = []
+    solve = ruin_module.safeguarded_newton
+
+    def recorded(f, fprime, *args, **kwargs):
+        calls.append((f, fprime))
+        return solve(f, fprime, *args, **kwargs)
+
+    for module in (ruin_module, cumulant_module):
+        monkeypatch.setattr(module, "safeguarded_newton", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("loading", [1.25, 0.8], ids=["positive", "negative"])
+@pytest.mark.parametrize("severity", CLAIM_KINDS, ids=lambda s: type(s).__name__)
+def test_finite_time_bound_reads_the_scale_exponent_from_the_root(monkeypatch, severity, loading):
+    # H(tbar) = |R|: the level at the time scale is g'(R), whose tilt is R itself
+    calls = _record_newton(monkeypatch)
+    model = CompoundModel(1.3, severity)
+    system = RiskSystem(model, loading * model.mean_rate)
+    bound = finite_time_bound(system, 3.0, 2.0 / system.premium_rate)
+    assert len(calls) == 2  # the adjustment coefficient and the entropy at c +- 1/t
+    assert bound.exponent_at_scale == pytest.approx(abs(bound.R), rel=1e-14)
+    assert bound.exponent >= abs(bound.R) * (1.0 - 1e-12)  # the minimum of H is at tbar
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.floats(0.3, 1.5), st.floats(0.3, 3.0), st.floats(1.05, 3.0),
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_mixture_root_functions_match_the_np_sum_expressions_bit_for_bit(
+    n, base, lam, loading, frac, seed
+):
+    rnd = np.random.default_rng(seed)
+    weights = rnd.dirichlet(np.ones(n))
+    rates = base + np.cumsum(np.concatenate([[0.0], rnd.uniform(0.2, 2.0, n - 1)]))
+    mix = MixtureOfExponentials(tuple(weights), tuple(rates))
+    model = CompoundModel(lam, mix)
+    system = RiskSystem(model, loading * model.mean_rate)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _record_newton(patch)
+        result = mixture_exact(system, 1.0)
+    assert len(calls) == n  # one solve per decay rate
+    # the closures' old np.sum expressions, evaluated inside each root's interval
+    w, b, c = np.asarray(mix.weights), np.asarray(mix.rates), system.premium_rate
+    edges = np.concatenate([[0.0], b])
+    for i, (psi, psi_prime) in enumerate(calls):
+        xi = float(edges[i] + frac * (edges[i + 1] - edges[i]))
+        if xi in b:
+            continue  # a pole
+        assert psi(xi) == float(lam * np.sum(w / (b - xi))) - c
+        assert psi_prime(xi) == float(lam * np.sum(w / (b - xi) ** 2))
+    r = model.mean_rate / c
+    gp_extended = [float(lam * np.sum(w * b / (b - root) ** 2)) for root in result.decay_rates]
+    assert result.constants == tuple(c * (1.0 - r) / (gp - c) for gp in gp_extended)

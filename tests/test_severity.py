@@ -34,8 +34,8 @@ point_masses = st.floats(0.1, 3.0).map(PointMass)
 
 
 @st.composite
-def mixtures(draw):
-    n = draw(st.integers(2, 4))
+def mixtures(draw, min_components=2):
+    n = draw(st.integers(min_components, 4))
     raw_w = draw(
         st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)
     )
@@ -300,6 +300,26 @@ def test_lattice_transforms_match_per_call_arrays_bit_for_bit(n, span, frac, see
     prob, alias = lat._alias
     carried = prob + np.bincount(alias, weights=1.0 - prob, minlength=n)
     assert np.allclose(carried, n * f, rtol=0.0, atol=1e-12 * n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixtures(min_components=1), st.floats(-2.0, 0.99))
+def test_mixture_transforms_match_the_np_sum_expressions_bit_for_bit(mix, frac):
+    # the expressions the transforms reduced with np.sum before their products were cached
+    w, b = np.asarray(mix.weights), np.asarray(mix.rates)
+    xi = frac * b[0]
+    assert mix.mgf(xi) == float(np.sum(w * b / (b - xi)))
+    assert mix.mgf_m1(xi) == float(np.sum(w * xi / (b - xi)))
+    assert mix.mgf_prime(xi) == float(np.sum(w * b / (b - xi) ** 2))
+    assert mix.mgf_second(xi) == float(np.sum(2.0 * w * b / (b - xi) ** 3))
+    for k in (1, 2, 3):
+        assert mix.moment(k) == float(math.factorial(k) * np.sum(w / b**k))
+
+
+def test_exponential_mixture_view_is_built_once():
+    law = Exponential(2.0)
+    assert law.as_mixture() is law.as_mixture()
+    assert law.as_mixture() == MixtureOfExponentials((1.0,), (2.0,))
 
 
 @settings(max_examples=25, deadline=None)

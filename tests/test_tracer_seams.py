@@ -96,7 +96,8 @@ def test_traced_simulate_fills_the_monte_carlo_counters():
 
 def test_traced_analytic_bundle_solves_each_root_once():
     # one bundle of the analytic calls on one model: the tilt at x, the
-    # adjustment coefficient and the two entropy levels of the finite-time bound
+    # adjustment coefficient and the finite-time bound's entropy level at t;
+    # its level at the time scale is read from the adjustment coefficient
     lib = SimpleNamespace(**{m: importlib.import_module(f"collrisk.{m}") for m in MODULES})
     model = lib.cumulant.CompoundModel(1.0, lib.severity.Exponential(1.0))
     system = lib.ruin.RiskSystem(model, 1.25, 0.0)
@@ -111,9 +112,9 @@ def test_traced_analytic_bundle_solves_each_root_once():
         lib.ruin.ruin_time_clt(system, 20.0, 0.0)
     finally:
         tracer.uninstall()
-    assert tracer.calls["rootfind.newton"] == 4
+    assert tracer.calls["rootfind.newton"] == 3
     assert tracer.counts["newton_evals"] > 0  # the wrapped f and f' of each solve ran
-    assert tracer.calls["cumulant.entropy"] == 5  # every call is traced; hits skip the solve
+    assert tracer.calls["cumulant.entropy"] == 4  # every call is traced; hits skip the solve
 
 
 def test_traced_lattice_entry_runs_the_one_esscher_body():
