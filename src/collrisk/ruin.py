@@ -308,35 +308,9 @@ def _mixture_roots(system: RiskSystem) -> tuple[tuple[float, ...], tuple[float, 
     if mix is None:
         raise DomainError("exact evaluation needs an exponential or mixture severity")
     lam, c = system.model.rate, system.premium_rate
-    w, b = mix._arrays
-    wb = mix._products[0]
+    b = np.asarray(mix.rates)
     r = system.model.mean_rate / c
-
-    # psi(xi) = lambda sum w/(b - xi) - c and its derivative; gp_extended is the
-    # analytic continuation of g' beyond the abscissa (a rational function)
-    if b.size <= 2:
-        # one or two terms add to the same float in any order, so numpy scalars give
-        # the array sums' bits (and infs) without the cost of array calls
-        terms = list(zip(w, wb, b))
-
-        def psi(xi: float) -> float:
-            return float(lam * sum([wi / (bi - xi) for wi, _, bi in terms])) - c
-
-        def psi_prime(xi: float) -> float:
-            return float(lam * sum([wi / ((bi - xi) * (bi - xi)) for wi, _, bi in terms]))
-
-        def gp_extended(xi: float) -> float:
-            return float(lam * sum([wbi / ((bi - xi) * (bi - xi)) for _, wbi, bi in terms]))
-    else:
-        # ndarray.sum, the reduction of np.sum without its Python wrapper
-        def psi(xi: float) -> float:
-            return float(lam * (w / (b - xi)).sum()) - c
-
-        def psi_prime(xi: float) -> float:
-            return float(lam * (w / (b - xi) ** 2).sum())
-
-        def gp_extended(xi: float) -> float:
-            return float(lam * (wb / (b - xi) ** 2).sum())
+    psi, psi_prime, gp_extended = mix.root_functions(lam, c)
 
     roots: list[float] = []
     edges = np.concatenate([[0.0], b])

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -336,6 +337,41 @@ class MixtureOfExponentials(SeverityModel):
         w, b = self._arrays
         return float(math.factorial(k) * (w / b**k).sum())
 
+    def root_functions(
+        self, lam: float, c: float
+    ) -> tuple[Callable[[float], float], Callable[[float], float], Callable[[float], float]]:
+        """psi(xi) = lam*sum w/(b - xi) - c, its derivative, and lam*sum w*b/(b - xi)**2,
+        the continuation of lam*f'(xi) past the abscissa: the rational functions whose
+        roots and values give the exact ruin formula at claim rate ``lam`` and premium
+        rate ``c``. They take any xi off the rates, with no tilt check."""
+        w, b = self._arrays
+        wb = self._products[0]
+        if b.size <= 2:
+            # one or two terms add to the same float in any order, so numpy scalars give
+            # the array sums' bits (and infs) without the cost of array calls
+            terms = list(zip(w, wb, b))
+
+            def psi(xi: float) -> float:
+                return float(lam * sum([wi / (bi - xi) for wi, _, bi in terms])) - c
+
+            def psi_prime(xi: float) -> float:
+                return float(lam * sum([wi / ((bi - xi) * (bi - xi)) for wi, _, bi in terms]))
+
+            def gp_extended(xi: float) -> float:
+                return float(lam * sum([wbi / ((bi - xi) * (bi - xi)) for _, wbi, bi in terms]))
+        else:
+
+            def psi(xi: float) -> float:
+                return float(lam * (w / (b - xi)).sum()) - c
+
+            def psi_prime(xi: float) -> float:
+                return float(lam * (w / (b - xi) ** 2).sum())
+
+            def gp_extended(xi: float) -> float:
+                return float(lam * (wb / (b - xi) ** 2).sum())
+
+        return psi, psi_prime, gp_extended
+
     def sf(self, x: float) -> float:
         if x <= 0:
             return 1.0
@@ -391,31 +427,25 @@ class Lattice(SeverityModel):
     def _cells(self) -> tuple[np.ndarray, np.ndarray]:
         return np.arange(1, self._dist.size) * self.span, self._dist.masses[1:]
 
-    @cached_property  # f*x and f*x**2, associated as the transforms multiply them
-    def _products(self) -> tuple[np.ndarray, np.ndarray]:
-        x, f = self._cells
-        return f * x, f * x**2
-
-    # ndarray.sum is np.sum's reduction without its Python wrapper: the same bits
     def mgf(self, xi: float) -> float:
         x, f = self._cells
-        return float((f * np.exp(xi * x)).sum())
+        return float(np.sum(f * np.exp(xi * x)))
 
     def mgf_m1(self, xi: float) -> float:
         x, f = self._cells
-        return float((f * np.expm1(xi * x)).sum())
+        return float(np.sum(f * np.expm1(xi * x)))
 
     def mgf_prime(self, xi: float) -> float:
-        x = self._cells[0]
-        return float((self._products[0] * np.exp(xi * x)).sum())
+        x, f = self._cells
+        return float(np.sum(f * x * np.exp(xi * x)))
 
     def mgf_second(self, xi: float) -> float:
-        x = self._cells[0]
-        return float((self._products[1] * np.exp(xi * x)).sum())
+        x, f = self._cells
+        return float(np.sum(f * x**2 * np.exp(xi * x)))
 
     def moment(self, k: int) -> float:
         x, f = self._cells
-        return float((f * x**k).sum())
+        return float(np.sum(f * x**k))
 
     def sf(self, x: float) -> float:
         pts, f = self._cells
