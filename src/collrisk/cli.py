@@ -559,13 +559,13 @@ def cmd_portfolio(args: argparse.Namespace) -> str:
         ("summary", "span", severity.span),
         ("summary", "policies", float(len(portfolio))),
     ]
-    for idx, mass in enumerate(severity.masses, start=1):
-        if mass > 0.0:
-            rows.append(("atom", idx * severity.span, mass))
+    dist = lattice_masses(severity)
+    rows.extend(("atom", idx * severity.span, dist.masses[idx])
+                for idx in np.flatnonzero(dist.masses).tolist())
 
     if args.x:
         n_out = max(steps_to(max(args.x), severity.span) + 1, 1)
-        agg = panjer(model.rate, lattice_masses(severity), n_out)
+        agg = panjer(model.rate, dist, n_out)
         try:
             tails = [("tail", portfolio_exact_tail(portfolio, args.x))]
         except DomainError:  # the sums share no span: bracket them on --span's lattice

@@ -32,7 +32,7 @@ logger = logging.getLogger(__name__)
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _ENTROPY_RTOL = 1e-13  # relative tolerance of the tilt that maximizes x*xi - g(xi)
-_TERM_TOL = 1e-16  # the discrete Esscher sum stops once its terms fall below this
+_TERM_TOL = 1e-16  # share of its first term that the discrete Esscher sum may leave out
 
 __all__ = [
     "CompoundModel",
@@ -187,23 +187,28 @@ def esscher_function(s: float) -> float:
 def esscher_function_discrete(s: float, b: float) -> float:
     """Discrete counterpart E(s, b) = sum_n exp(-s n) * phi(n b) * b.
 
-    Direct summation, truncated once terms fall below ``_TERM_TOL``. As
-    b -> 0 at fixed s this tends to b / (sqrt(2 pi) (1 - e^{-s}))."""
+    Direct summation of the terms up to the first n = N past which the
+    rest add up to under ``_TERM_TOL`` of the first term. From n on each
+    term is at most q = e^{-(s + b^2 n)} times the one before, so the rest
+    add up to at most term_N / (1 - q); N then comes in closed form from
+    s N + (N b)^2 / 2 = log(1 / _TERM_TOL) - log(1 - q), with q taken at the
+    root of the same equation without its last term. A sum of more than
+    ``lattice.MAX_CELLS`` terms is a DomainError. As b -> 0 at fixed s this
+    tends to b / (sqrt(2 pi) (1 - e^{-s}))."""
     if s < 0.0:
         raise DomainError(f"Esscher function argument must be >= 0, got {s}")
     if not b > 0.0:
         raise DomainError(f"grid parameter must be positive, got {b}")
-    total = 0.0
-    n0 = 0
-    chunk = 4096
-    while True:
-        n = np.arange(n0, n0 + chunk)
-        terms = np.exp(-s * n - 0.5 * (n * b) ** 2) * (b / SQRT_TWO_PI)
-        total += float(terms.sum())
-        if terms[-1] < _TERM_TOL:  # terms decrease in n
-            break
-        n0 += chunk
-    return total
+
+    def root(level: float) -> float:  # of s N + (N b)^2 / 2 = level, without cancellation
+        return 2.0 * level / (s + math.hypot(s, b * math.sqrt(2.0 * level)))
+
+    level = -math.log(_TERM_TOL)
+    n_end = root(level - math.log(-math.expm1(-s - b * (b * max(root(level), 1.0)))))
+    if not n_end < MAX_CELLS:
+        raise DomainError(f"E({s}, {b}) needs more than {MAX_CELLS} terms")
+    n = np.arange(int(n_end) + 2)  # int() + 2 takes the sum past N
+    return float((np.exp(-s * n - 0.5 * (n * b) ** 2) * (b / SQRT_TWO_PI)).sum())
 
 
 @dataclass(frozen=True)
@@ -341,10 +346,10 @@ def _float_gcd(a: float, b: float, tol: float) -> float:
 
 def _infer_span(values: list[float]) -> tuple[float, list[int]]:
     """The coarsest span with every value on its lattice, and each value's step count."""
-    g = values[0]
+    g, top = values[0], max(values)
     for v in values[1:]:
-        g = _float_gcd(max(g, v), min(g, v), tol=1e-9 * max(values))
-    if g >= 1e-6 * max(values):
+        g = _float_gcd(max(g, v), min(g, v), tol=1e-9 * top)
+    if g >= 1e-6 * top:
         steps = [step_at(v, g) for v in values]
         if None not in steps and min(steps) >= 1:
             return g, steps
@@ -380,7 +385,7 @@ def portfolio_to_compound(portfolio: Portfolio, span: float | None = None) -> Co
     masses = np.zeros(check_cells(max(indices)))
     for idx, li in zip(indices, lam_i):
         masses[idx - 1] += li / lam
-    return CompoundModel(lam, Lattice(span, tuple(masses)))
+    return CompoundModel(lam, Lattice(span, masses))
 
 
 def _lattice_tails(portfolio: Portfolio, steps: list[int], span: float, x):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, toeplitz
+from scipy.linalg import get_lapack_funcs
 
 from .errors import DomainError, GridError, UnderflowWarning
 
@@ -32,6 +32,9 @@ _BLOCK = 64
 # LAPACK dtrtrs, looked up once: the routine scipy.linalg.solve_triangular calls
 (_TRTRS,) = get_lapack_funcs(("trtrs",), (np.empty((1, 1)),))
 MAX_CELLS = 10**7  # most cells past the origin that any lattice array may hold
+# most multiply-adds (cells x coefficient cells) one recursion may take: about 50 s of
+# kernel time at the 4e9 a second that the blocked kernel reaches on one Xeon core
+WORK_BUDGET = 2e11
 
 
 def _tails_from_masses(masses: np.ndarray) -> np.ndarray:
@@ -53,6 +56,15 @@ def check_cells(n: int) -> int:
     if n > MAX_CELLS:
         raise GridError(f"{n} lattice cells exceed the cap of {MAX_CELLS} cells")
     return n
+
+
+def _check_work(n_out: int, n_coef: int) -> None:
+    """Refuse a recursion of ``n_out`` cells over ``n_coef`` coefficient cells above WORK_BUDGET."""
+    if n_out * n_coef > WORK_BUDGET:
+        raise GridError(
+            f"{n_out} cells x {n_coef} coefficient cells = {n_out * n_coef:.3g} multiply-adds "
+            f"exceed the recursion budget of {WORK_BUDGET:.3g}"
+        )
 
 
 def first_step(holds: Callable[[int], bool], start: int = 0) -> int | None:
@@ -187,7 +199,7 @@ def _recurse(
 
     Returns w_0..w_n for n = len(steps), with w_0 = seed * exp(log_seed) and
     w_n = steps[n-1] * (coef_1 w_{n-1} + ... + coef_m w_{n-m}), m = min(n, coef.size - 1),
-    and the number of rescales it made.
+    and the number of rescales it made; no steps give the seed alone.
 
     The cells go in blocks of ``_BLOCK``. Within a block of cells n..n+b-1,
     with a its steps, the terms reaching back before n form one correlation
@@ -221,10 +233,11 @@ def _recurse(
     size = min(_BLOCK, n_out)
     col = np.zeros(size)
     col[: min(size, coef.size)] = coef[:size]
-    neg_coupling = -toeplitz(col, np.zeros(size))
+    lag = np.subtract.outer(np.arange(size), np.arange(size))  # i - k
+    neg_coupling = np.where(lag >= 0, -col[lag], 0.0)  # -T; above the diagonal is never read
     buf = np.empty(size * size)
     # equal steps (compound_geometric's r) give every block one matrix: build it once
-    fixed = steps[0] * neg_coupling if np.all(steps == steps[0]) else None
+    fixed = steps[0] * neg_coupling if n_out and np.all(steps == steps[0]) else None
     history = coef[:0:-1]
     n = 1
     while n <= n_out:
@@ -267,6 +280,14 @@ def panjer(rate: float, severity: LatticeDistribution, n_out: int) -> LatticeDis
     f_0 = 0. Returns masses g_0..g_{n_out}, seeded with g_0 = exp(-rate)
     and advanced by n*g_n = rate * sum_x x*f_x*g_{n-x}.
 
+    The recursion runs on the law's maximal span: with g the gcd of the
+    occupied severity cells, only cells 0, g, 2g, ... can hold mass, and
+    those take the same terms as on the declared span (coefficients
+    (g*j)*f_{g*j}, steps rate/(g*n)). The result is on the declared span,
+    with exact zeros between multiples of g. A recursion past
+    ``WORK_BUDGET`` multiply-adds, counted on the maximal span, is a
+    GridError.
+
     For rate beyond ~700 the seed underflows; the recursion then runs in a
     scaled representation (mantissas sharing one exponent) and an
     UnderflowWarning is issued.
@@ -275,14 +296,21 @@ def panjer(rate: float, severity: LatticeDistribution, n_out: int) -> LatticeDis
         raise DomainError(f"rate must be positive, got {rate}")
     check_cells(n_out)
     f = _checked_severity(severity, "severity")
+    g = 1 if f[1] > 0.0 else int(np.gcd.reduce(np.flatnonzero(f)))
+    n = n_out // g
+    _check_work(n, (f.size - 1) // g)
     if rate > 700.0:
         warnings.warn(
             f"seed exp(-{rate:g}) underflows; computing in scaled form",
             UnderflowWarning,
             stacklevel=2,
         )
-    steps = rate / np.arange(1, n_out + 1)
-    masses, rescales = _recurse(np.arange(f.size) * f, steps, 1.0, -rate)
+    steps = rate / np.arange(g, g * n + 1, g)
+    masses, rescales = _recurse(np.arange(0, f.size, g) * f[::g], steps, 1.0, -rate)
+    if g > 1:
+        spread = np.zeros(n_out + 1)
+        spread[::g] = masses
+        masses = spread
     return LatticeDistribution(severity.span, masses, rescales)
 
 
@@ -292,11 +320,13 @@ def compound_geometric(
     """Masses of a geometric number of ladder-height summands.
 
     Solves the renewal equation l = (1-r)*delta + r*(k (*) l) on the
-    lattice: l_0 = 1-r and l_n = r*(k_1 l_{n-1} + ... + k_n l_0).
+    lattice: l_0 = 1-r and l_n = r*(k_1 l_{n-1} + ... + k_n l_0). A
+    recursion past ``WORK_BUDGET`` multiply-adds is a GridError.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"upcrossing probability must lie in (0, 1), got {r}")
     check_cells(n_out)
     k = _checked_severity(ladder, "ladder-height")
+    _check_work(n_out, k.size - 1)
     masses, rescales = _recurse(k, np.full(n_out, r), 1.0 - r, 0.0)
     return LatticeDistribution(ladder.span, masses, rescales)

@@ -219,6 +219,11 @@ class Gamma(SeverityModel):
     def moment(self, k: int) -> float:
         return float(special.poch(self.shape, k)) * self.scale**k
 
+    @property
+    def mean(self) -> float:
+        # poch(shape, 1) is shape exactly, so these are moment(1)'s bits without the call
+        return self.shape * self.scale
+
     def sf(self, x: float) -> float:
         return float(special.gammaincc(self.shape, x / self.scale)) if x > 0 else 1.0
 
@@ -414,12 +419,13 @@ class Lattice(SeverityModel):
     masses: tuple[float, ...]
 
     def __post_init__(self):
-        f = tuple(float(v) for v in self.masses)
-        object.__setattr__(self, "masses", f)
-        if any(v < 0.0 for v in f):
+        f = np.asarray(self.masses, dtype=float)  # converted and checked as one array
+        object.__setattr__(self, "masses", tuple(f.tolist()))
+        if (f < 0.0).any():
             raise DomainError("lattice masses must be nonnegative")
-        if abs(sum(f) - 1.0) > _WEIGHT_TOL:
-            raise DomainError(f"lattice masses sum to {sum(f)}, not 1")
+        total = float(f.sum())
+        if abs(total - 1.0) > _WEIGHT_TOL:
+            raise DomainError(f"lattice masses sum to {total}, not 1")
         # not a dataclass field: fields are the parameters; LatticeDistribution checks the span
         object.__setattr__(self, "_dist", LatticeDistribution(self.span, np.concatenate([[0.0], f])))
 
@@ -455,7 +461,7 @@ class Lattice(SeverityModel):
         x, f = self._cells
         w = f * np.exp(a * x)
         w /= w.sum()
-        return Lattice(self.span, tuple(w))
+        return Lattice(self.span, w)
 
     @property
     def lattice_span(self) -> float:

@@ -531,6 +531,39 @@ def test_portfolio_of_a_thousand_policies(tmp_path):
         assert abs(float(row[2]) - float(row[3])) <= bound + 1e-12
 
 
+def test_portfolio_level_below_the_smallest_atom(tmp_path):
+    # on --span 0.01 the atoms sit at cells 50 and 100: the compound column's
+    # recursion runs on span 0.5, and x = 0.25 (26 cells) is below its first step
+    policies = tmp_path / "pol.csv"
+    policies.write_text("0.5, 0.1\n1, 0.2\n")
+    code, out = run(["portfolio", str(policies), "--span", "0.01", "--x", "0.25",
+                     "--format", "csv"])
+    assert code == 0
+    rows = csv_rows(out)
+    lam = {row[1]: float(row[2]) for row in rows if row[0] == "summary"}["lambda"]
+    assert [(float(row[1]), float(row[2])) for row in rows if row[0] == "atom"] == [
+        (0.5, pytest.approx(math.log(0.9) / (math.log(0.9) + math.log(0.8)), rel=1e-12)),
+        (1.0, pytest.approx(math.log(0.8) / (math.log(0.9) + math.log(0.8)), rel=1e-12)),
+    ]
+    (tail,) = [row for row in rows if row[0] == "tail"]
+    assert float(tail[1]) == 0.25
+    assert float(tail[2]) == pytest.approx(1 - 0.9 * 0.8, rel=1e-12)
+    assert float(tail[3]) == pytest.approx(-math.expm1(-lam), rel=1e-12)
+
+
+def test_portfolio_refuses_a_recursion_past_the_work_budget(tmp_path, capsys):
+    # sums 20000.01, 0.01 and 2.5 share only the span 0.01, so the compound
+    # column would take 2e6 cells x 2e6 coefficient cells, about 4e12 multiply-adds
+    policies = tmp_path / "pol.csv"
+    policies.write_text("20000.01, 0.1\n0.01, 0.2\n2.5, 0.05\n")
+    code, out = run(["portfolio", str(policies), "--span", "0.01", "--x", "20000"])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == (
+        "error: 2000001 cells x 2000001 coefficient cells = 4e+12 multiply-adds exceed "
+        "the recursion budget of 2e+11\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # output discipline
 # ---------------------------------------------------------------------------

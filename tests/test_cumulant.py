@@ -246,6 +246,28 @@ def test_esscher_function_discrete_small_b_limit():
     assert errors[2] < errors[1]
 
 
+def esscher_sum_exact(s, b):
+    """E(s, b) as the correctly rounded sum of every term above 1e-40 of the first."""
+    n = np.arange(int(2 * 92 / (s + math.hypot(s, b * math.sqrt(184)))) + 2)
+    return math.fsum((np.exp(-s * n - 0.5 * (n * b) ** 2) * (b / math.sqrt(2 * math.pi))).tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@example(s=1e-4, b=2.7e-5)  # 270,000 terms
+@example(s=1e-13, b=4.5e-5)
+@example(s=30.0, b=10.0)  # one term
+@example(s=0.0033587192493677, b=0.0014060182749401893)  # chunks of 4,096 err by 2.2e-14
+@given(s=st.floats(1e-13, 30.0), b=st.floats(1e-5, 10.0))
+def test_esscher_function_discrete_leaves_out_under_1e16_of_its_sum(s, b):
+    assert esscher_function_discrete(s, b) == pytest.approx(esscher_sum_exact(s, b), rel=1e-15,
+                                                           abs=0.0)
+
+
+def test_esscher_function_discrete_refuses_a_sum_past_the_cell_cap():
+    with pytest.raises(DomainError, match="needs more than 10000000 terms"):
+        esscher_function_discrete(0.0, 1e-10)
+
+
 def test_esscher_function_domain():
     with pytest.raises(DomainError):
         esscher_function(-0.1)

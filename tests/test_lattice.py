@@ -3,6 +3,7 @@
 import ast
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +20,12 @@ from collrisk import (
     GridError,
     Lattice,
     LatticeDistribution,
+    PointMass,
     RiskSystem,
     UnderflowWarning,
     compound_geometric,
     discretize,
+    lattice_masses,
     panjer,
     ruin_panjer,
     suggest_truncation,
@@ -427,6 +430,120 @@ def test_no_rescale_while_the_seed_is_representable():
         assert panjer(rate, lattice(1.0, [0.0, 0.5, 0.5]), 2000).rescales == 0
     assert compound_geometric(0.8, lattice(1.0, [0.0, 0.5, 0.5]), 5000).rescales == 0
     assert lattice(1.0, [0.5, 0.5]).rescales == 0
+
+
+# ---------------------------------------------------------------------------
+# panjer on the law's maximal span
+# ---------------------------------------------------------------------------
+
+
+def spread(f, g):
+    """Masses f_0..f_N moved to cells 0, g, ..., N*g, with zeros between."""
+    out = np.zeros(g * (len(f) - 1) + 1)
+    out[::g] = f
+    return out
+
+
+def declared_span_panjer(rate, f, n_out):
+    """The recursion over every declared cell, as ``panjer`` ran it before compression."""
+    return _recurse(np.arange(f.size) * f, rate / np.arange(1, n_out + 1), 1.0, -rate)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_sev=st.integers(1, 30),
+    g=st.integers(2, 7),
+    n_out=st.integers(1, 600),
+    rate=st.floats(0.01, 600.0),
+    sparsity=st.floats(0.0, 0.8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_panjer_on_a_spread_law_is_the_compact_law_spread(n_sev, g, n_out, rate, sparsity, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.random(n_sev + 1) * (rng.random(n_sev + 1) >= sparsity)
+    f[0] = 0.0
+    f[-1] += f.sum() == 0.0
+    f /= f.sum()
+    masses = panjer(rate, lattice(0.5, spread(f, g)), n_out).masses
+    assert masses.size == n_out + 1
+    between = np.ones(n_out + 1, dtype=bool)
+    between[::g] = False
+    assert np.all(masses[between] == 0.0)  # exact zeros, not small numbers
+    compact = panjer(rate, lattice(0.5 * g, f), n_out // g).masses if n_out >= g else None
+    on_span = masses[::g]
+    if compact is not None:
+        assert_matches_cell_rule(on_span, compact, 1e-13)
+    # and the recursion over every declared cell
+    assert_matches_cell_rule(masses, declared_span_panjer(rate, spread(f, g), n_out), 1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cells=st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True),
+    n_out=st.integers(1, 300),
+    rate=st.floats(0.01, 3000.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_panjer_keeps_its_bits_when_the_maximal_span_is_the_declared_one(cells, n_out, rate, seed):
+    # gcd 1, with or without cell 1 occupied: the recursion runs on every declared cell
+    if math.gcd(*cells) != 1:
+        cells = cells + [1]
+    f = np.zeros(max(cells) + 1)
+    f[cells] = np.random.default_rng(seed).random(len(cells)) + 0.1
+    f /= f.sum()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnderflowWarning)
+        masses = panjer(rate, lattice(0.25, f), n_out).masses
+    assert np.array_equal(masses, declared_span_panjer(rate, f, n_out))
+
+
+def test_panjer_below_the_maximal_span_returns_the_seed_cell():
+    # a level under the smallest atom: 0.25 on span 0.01 under an atom at 0.5
+    f = np.zeros(101)
+    f[50] = f[100] = 0.5
+    agg = panjer(1.5, lattice(0.01, f), 26)
+    assert agg.size == 27
+    assert agg.masses[0] == math.exp(-1.5)
+    assert np.all(agg.masses[1:] == 0.0)
+    assert agg.remainder == pytest.approx(-math.expm1(-1.5), rel=1e-15)
+
+
+def test_panjer_on_a_spread_law_in_scaled_form():
+    rate, g = 800.0, 3
+    f = np.array([0.0, 0.5, 0.5])
+    with pytest.warns(UnderflowWarning):
+        masses = panjer(rate, lattice(1.0, spread(f, g)), 6000).masses
+        compact = panjer(rate, lattice(3.0, f), 2000).masses
+    between = np.ones(masses.size, dtype=bool)
+    between[::g] = False
+    assert np.all(masses[between] == 0.0)
+    # exp(log w + log_scale) rounds log w (about 650) to its ulp: 1.1e-13 relative
+    assert_matches_cell_rule(masses[::g], compact, 1e-12)
+    assert_matches_cell_rule(masses, declared_span_panjer(rate, spread(f, g), 6000), 1e-12)
+    assert masses.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_panjer_on_a_point_mass_declared_at_a_finer_span():
+    rate = 12.0
+    own = panjer(rate, lattice_masses(PointMass(1.0)), 40).masses
+    fine = panjer(rate, discretize(PointMass(1.0), 0.1), 400).masses
+    np.testing.assert_allclose(own, stats.poisson.pmf(np.arange(41), rate), rtol=1e-13)
+    assert_matches_cell_rule(fine[::10], own, 1e-13)
+    assert np.count_nonzero(fine) == np.count_nonzero(own) == 41
+
+
+def test_recursions_refuse_work_past_the_budget_before_they_start():
+    wide = lattice(1.0, np.full(10**6 + 1, 1e-6) * (np.arange(10**6 + 1) > 0))
+    with pytest.raises(GridError, match=r"1000000 cells x 1000000 coefficient cells = 1e\+12 "
+                                        r"multiply-adds exceed the recursion budget of 2e\+11"):
+        panjer(1.0, wide, 10**6)
+    with pytest.raises(GridError, match="exceed the recursion budget"):
+        compound_geometric(0.5, wide, 10**6)
+    # counted on the maximal span: 1,000 cells x 1,000 coefficient cells
+    sparse = np.zeros(10**6 + 1)
+    sparse[1000::1000] = 1e-3
+    agg = panjer(1.0, lattice(1.0, sparse), 10**6)
+    assert agg.size == 10**6 + 1 and agg.masses[0] == math.exp(-1.0)
 
 
 # ---------------------------------------------------------------------------

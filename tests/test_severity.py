@@ -21,6 +21,7 @@ from collrisk import (
     discretize_ladder,
     lattice_masses,
 )
+from collrisk import severity
 from collrisk.lattice import MAX_CELLS
 from collrisk.severity import TAIL_TOL
 
@@ -320,6 +321,30 @@ def test_exponential_mixture_view_is_built_once():
     law = Exponential(2.0)
     assert law.as_mixture() is law.as_mixture()
     assert law.as_mixture() == MixtureOfExponentials((1.0,), (2.0,))
+
+
+@settings(max_examples=200)
+@given(shape=st.floats(1e-3, 1e6), scale=st.floats(1e-6, 1e6))
+def test_gamma_mean_is_the_first_moment_without_scipy(shape, scale):
+    law = Gamma(shape, scale)
+    assert law.mean == law.moment(1)
+
+
+def test_gamma_mean_makes_no_scipy_call(monkeypatch):
+    monkeypatch.setattr(severity.special, "poch", None)
+    assert Gamma(2.5, 0.7).mean == 2.5 * 0.7
+
+
+def test_lattice_from_an_array_is_the_lattice_from_its_tuple():
+    masses = np.random.default_rng(4).dirichlet(np.ones(500))
+    from_array, from_tuple = Lattice(0.01, masses), Lattice(0.01, tuple(masses.tolist()))
+    assert from_array == from_tuple and from_array.masses == tuple(masses.tolist())
+    assert all(type(v) is float for v in from_array.masses)
+    assert np.array_equal(from_array.as_distribution().masses, from_tuple.as_distribution().masses)
+    with pytest.raises(DomainError, match="lattice masses must be nonnegative"):
+        Lattice(1.0, np.array([1.5, -0.5]))
+    with pytest.raises(DomainError, match="lattice masses sum to 0.9, not 1"):
+        Lattice(1.0, np.array([0.5, 0.4]))
 
 
 @settings(max_examples=25, deadline=None)
