@@ -121,10 +121,12 @@ class EntropyPoint:
 def entropy(model: CompoundModel, x: float) -> EntropyPoint:
     """Entropy h(x) = max_xi {x*xi - g(xi)} with its maximizing tilt.
 
-    The maximizer solves g'(xi) = x, a strictly increasing equation, found
-    by safeguarded Newton inside an expanding bracket. h vanishes exactly
-    at the mean rate and is positive elsewhere. Each level is solved once
-    per model; a repeat returns the stored point.
+    The maximizer solves g'(xi) = x, a strictly increasing equation. The
+    severity gives its root in closed form where it has one (exponential,
+    Gamma and point-mass claims, ``SeverityModel.tilt_root``); otherwise
+    safeguarded Newton finds it inside an expanding bracket. h vanishes
+    exactly at the mean rate and is positive elsewhere. Each level is
+    solved once per model; a repeat returns the stored point.
     """
     return model._root(("entropy", x), lambda: _entropy(model, x))
 
@@ -135,6 +137,19 @@ def _entropy(model: CompoundModel, x: float) -> EntropyPoint:
     mean = model.mean_rate
     if abs(x - mean) <= 1e-12 * max(1.0, mean):
         return EntropyPoint(x, 0.0, 0.0)
+    xi = model.severity.tilt_root(model.rate, x)
+    if xi is None:
+        xi = _solve_tilt(model, x, mean)
+    elif not xi < model.xi_bar:
+        raise DomainError(f"g' never reaches {x} below the abscissa {model.xi_bar}")
+    h = x * xi - model.g(xi)
+    if h < -1e-12:
+        raise DomainError(f"entropy came out negative ({h}); pathological severity")
+    return EntropyPoint(x, xi, max(h, 0.0))
+
+
+def _solve_tilt(model: CompoundModel, x: float, mean: float) -> float:
+    """The root of g'(xi) = x by safeguarded Newton, on a bracket grown from 0."""
 
     def phi(xi: float) -> float:
         return model.g_prime(xi) - x
@@ -149,11 +164,7 @@ def _entropy(model: CompoundModel, x: float) -> EntropyPoint:
         lo = expand_lower(phi, 0.0)
         if math.isnan(lo):
             raise DomainError(f"g' never falls to {x}")
-    xi = safeguarded_newton(phi, model.g_second, lo, hi, rtol=_ENTROPY_RTOL)
-    h = x * xi - model.g(xi)
-    if h < -1e-12:
-        raise DomainError(f"entropy came out negative ({h}); pathological severity")
-    return EntropyPoint(x, xi, max(h, 0.0))
+    return safeguarded_newton(phi, model.g_second, lo, hi, rtol=_ENTROPY_RTOL)
 
 
 @dataclass(frozen=True)

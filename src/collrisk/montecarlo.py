@@ -211,8 +211,8 @@ def _cursor(bit_generator: np.random.Philox, words: int) -> np.random.Generator:
 
 def _path_blocks(
     counts: np.ndarray,
-    gaps: np.random.Generator,
-    closing: np.random.Generator,
+    gaps: np.random.Generator | None,
+    closing: np.random.Generator | None,
     claims: np.random.Generator,
     sampler: Sampler,
     horizon: float,
@@ -232,13 +232,18 @@ def _path_blocks(
     representation of uniform order statistics, so no sort is needed. The
     running sums of the gaps and of the claims carry across blocks as
     ``cumsum([carry, *block])``; ``add.accumulate`` is sequential, so each
-    value has the bits of one cumulative sum over the whole chunk.
+    value has the bits of one cumulative sum over the whole chunk. Without
+    ``gaps`` (a plan whose every estimate is a tail at the horizon) a block
+    draws its claims alone and yields ``None`` for ``t_ev`` and ``cum_loss``.
     """
     t_carry = x_carry = 0.0
     for p0 in range(0, counts.size, block_paths):
         cnt = counts[p0 : p0 + block_paths]
         n_ev = int(cnt.sum())
         starts = np.cumsum(cnt) - cnt
+        if gaps is None:
+            yield p0, starts, cnt, None, sampler(claims, n_ev), None
+            continue
         cum = np.cumsum(np.concatenate([[t_carry], exponential_draws(gaps, n_ev)]))
         denom = cum[starts + cnt] - cum[starts] + exponential_draws(closing, cnt.size)
         t_ev = horizon * (cum[1:] - np.repeat(cum[starts], cnt)) / np.repeat(denom, cnt)
@@ -321,7 +326,9 @@ def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: i
     each drawing its gaps and claims from cursors on the chunk's stream
     (``_cursor``) at the words the whole-chunk schedule gives them: inner
     gaps right after the counts, closing gaps E words later and claims
-    E + P words later, for E events and P paths. It fills per-path
+    E + P words later, for E events and P paths. A probe at the horizon
+    counts every claim, so a plan of such probes alone draws no gaps and
+    its claims keep their words. It fills per-path
     outputs: the loss by each tail probe's time, the highest post-jump
     excess S - c*t (``peak``), its lowest value by the horizon (``_trough``)
     and the collected level's ruin time (the first jump epoch whose excess
@@ -337,11 +344,14 @@ def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: i
     bit_generator = np.random.Philox(key=key)
     counts = np.random.Generator(bit_generator).poisson(lam * horizon, n_paths)
     n_events = int(counts.sum())
-    gaps, closing, claims = (
-        _cursor(bit_generator, words) for words in (0, n_events, n_events + n_paths)
-    )
-
     collected = _collected(plan)
+    claims = _cursor(bit_generator, n_events + n_paths)
+    gaps = closing = None
+    if plan.ruin_levels or plan.hitting_levels or collected or any(
+        t < horizon for t, _ in plan.tail_probes
+    ):
+        gaps, closing = _cursor(bit_generator, 0), _cursor(bit_generator, n_events)
+
     tail_loss = np.empty((len(plan.tail_probes), n_paths))
     peak = np.empty(n_paths) if plan.ruin_levels or collected else None
     trough = np.empty(n_paths) if plan.hitting_levels else None
@@ -351,7 +361,8 @@ def _run_chunk(plan: SimulationPlan, sampler: Sampler, n_paths: int, chunk_id: i
     for p0, starts, cnt, t_ev, x_blk, cum_loss in blocks:
         p = slice(p0, p0 + cnt.size)
         for i, (t, _) in enumerate(plan.tail_probes):
-            tail_loss[i, p] = _segment(np.add, np.where(t_ev <= t, x_blk, 0.0), starts, cnt, 0.0)
+            counted = np.where(t_ev <= t, x_blk, 0.0) if t < horizon else x_blk
+            tail_loss[i, p] = _segment(np.add, counted, starts, cnt, 0.0)
         if trough is not None:
             trough[p] = _trough(t_ev, cum_loss, starts, cnt, c, horizon)
         if peak is not None:

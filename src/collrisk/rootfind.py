@@ -2,10 +2,13 @@
 
 Used for the two monotone scalar equations the library depends on: the
 tilt equation g'(xi) = x behind the entropy function, and the
-adjustment-coefficient equation g(a) = c*a. Newton steps are accepted only
-while they stay inside the current bracket; otherwise the step falls back
-to bisection, so convergence is guaranteed for any continuous monotone
-function with f(lo) and f(hi) of opposite sign.
+adjustment-coefficient equation g(a) = c*a, for the laws whose severity
+gives no closed-form root. Newton steps are accepted only while they stay
+inside the current bracket and at most halve the step before them (the
+``rtsafe`` rule of Press et al., *Numerical Recipes*); otherwise the step
+falls back to bisection, so convergence is guaranteed for any continuous
+monotone function with f(lo) and f(hi) of opposite sign, and a Newton
+crawl along a steep exponential takes bisections instead.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ def safeguarded_newton(
         raise ValueError(f"root not bracketed: f({lo})={flo}, f({hi})={fhi}")
 
     x = 0.5 * (lo + hi)
+    last = hi - lo  # the step before the first: the bracket's width
     for _ in range(_MAX_ITER):
         fx = f(x)
         if fx == 0.0:
@@ -49,10 +53,15 @@ def safeguarded_newton(
         else:
             hi = x
         dfx = fprime(x)
-        step_ok = dfx > 0.0 and lo < x - fx / dfx < hi
-        x_new = x - fx / dfx if step_ok else 0.5 * (lo + hi)
+        x_new = 0.5 * (lo + hi)
+        if dfx > 0.0:
+            step = fx / dfx
+            # Newton only inside the bracket, and only while it halves the last step
+            if lo < x - step < hi and abs(step + step) <= abs(last):
+                x_new = x - step
         if abs(x_new - x) <= rtol * max(1.0, abs(x_new)):
             return x_new
+        last = x_new - x
         x = x_new
     raise ConvergenceError(
         f"no convergence after {_MAX_ITER} iterations (bracket [{lo}, {hi}])"

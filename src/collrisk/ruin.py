@@ -187,7 +187,13 @@ class LundbergSolution:
 
 
 def lundberg(system: RiskSystem) -> LundbergSolution:
-    """The adjustment coefficient, solved once per model and premium rate."""
+    """The adjustment coefficient, solved once per model and premium rate.
+
+    The severity gives R in closed form where it has one (exponential
+    claims: R = b - lambda/c, ``SeverityModel.adjustment_root``); otherwise
+    safeguarded Newton finds it inside an expanding bracket. Either way R
+    must satisfy g(R) = c*R to 1e-12 relative.
+    """
     return system.model._root(("lundberg", system.premium_rate), lambda: _lundberg(system))
 
 
@@ -195,6 +201,22 @@ def _lundberg(system: RiskSystem) -> LundbergSolution:
     model, c = system.model, system.premium_rate
     mean = model.mean_rate
     system._require_nonzero_loading()
+    positive = system.loading > 0.0
+    root = model.severity.adjustment_root(model.rate, c)
+    if root is None:
+        root = _solve_adjustment(model, c, positive)
+    residual = model.g(root) - c * root
+    if abs(residual) > 1e-12 * max(1.0, abs(c * root)):
+        raise NoRootError(f"root residual {residual} out of tolerance")
+    gp = model.g_prime(root)
+    constant = (c - mean) / (gp - c)
+    time_scale = 1.0 / (gp - c) if positive else 1.0 / (c - gp)
+    return LundbergSolution(root, constant, time_scale, model.g_second(root), positive)
+
+
+def _solve_adjustment(model: CompoundModel, c: float, positive: bool) -> float:
+    """The nonzero root of g(a)/a = c by safeguarded Newton, on a bracket grown from 0."""
+    mean = model.mean_rate
     nu = model.rate * model.severity.moment(2)
     mu3 = model.rate * model.severity.moment(3)
 
@@ -208,7 +230,6 @@ def _lundberg(system: RiskSystem) -> LundbergSolution:
             return 0.5 * nu + mu3 * a / 3.0
         return (model.g_prime(a) - model.g(a) / a) / a
 
-    positive = system.loading > 0.0
     if positive:
         # phi(0) < 0 and phi -> +inf toward the abscissa for every severity kind
         lo, hi = 0.0, expand_upper(phi, 0.0, model.xi_bar)
@@ -220,14 +241,7 @@ def _lundberg(system: RiskSystem) -> LundbergSolution:
         lo, hi = expand_lower(phi, 0.0), 0.0
         if math.isnan(lo):
             raise NoRootError("no negative root found")
-    root = safeguarded_newton(phi, phi_prime, lo, hi, rtol=1e-15)
-    residual = model.g(root) - c * root
-    if abs(residual) > 1e-12 * max(1.0, abs(c * root)):
-        raise NoRootError(f"root residual {residual} out of tolerance")
-    gp = model.g_prime(root)
-    constant = (c - mean) / (gp - c)
-    time_scale = 1.0 / (gp - c) if positive else 1.0 / (c - gp)
-    return LundbergSolution(root, constant, time_scale, model.g_second(root), positive)
+    return safeguarded_newton(phi, phi_prime, lo, hi, rtol=1e-15)
 
 
 @dataclass(frozen=True)
@@ -291,7 +305,9 @@ class MixtureRuin:
 
 def mixture_exact(system: RiskSystem, u: float) -> MixtureRuin:
     """r(u) from the decay rates and constants, which are solved once per
-    model and premium rate."""
+    model and premium rate. One exponential component has the one decay
+    rate b - lambda/c in closed form; two or more are found by safeguarded
+    Newton between the interlacing poles."""
     system._require_positive_loading("the exact mixture formula")
     if u < 0.0:
         raise DomainError(f"capital must be nonnegative, got {u}")
@@ -308,8 +324,14 @@ def _mixture_roots(system: RiskSystem) -> tuple[tuple[float, ...], tuple[float, 
     if mix is None:
         raise DomainError("exact evaluation needs an exponential or mixture severity")
     lam, c = system.model.rate, system.premium_rate
-    b = np.asarray(mix.rates)
     r = system.model.mean_rate / c
+    if len(mix.rates) == 1:
+        # psi = lam*w/(b - xi) - c; at w = 1 the root is Exponential's R bit for bit
+        (w1,), (b1,) = mix.weights, mix.rates
+        root = b1 - lam * w1 / c
+        gp = lam * (w1 * b1 / ((b1 - root) * (b1 - root)))
+        return (root,), (c * (1.0 - r) / (gp - c),)
+    b = np.asarray(mix.rates)
     psi, psi_prime, gp_extended = mix.root_functions(lam, c)
 
     roots: list[float] = []

@@ -89,6 +89,20 @@ class SeverityModel:
         """The exponentially reweighted law e^{a x} F(dx) / f(a), same family."""
         raise NotImplementedError
 
+    def tilt_root(self, lam: float, x: float) -> float | None:
+        """The xi with lam*f'(xi) = x in closed form, or None for a law without one.
+
+        The caller keeps x positive and off the mean rate lam*mu, and checks
+        that xi lies below the abscissa: a root within rounding of it comes
+        back as the abscissa itself.
+        """
+        return None
+
+    def adjustment_root(self, lam: float, c: float) -> float | None:
+        """The nonzero a with lam*(f(a) - 1) = c*a in closed form, or None
+        for a law without one. The caller keeps c off the mean rate lam*mu."""
+        return None
+
     @property
     def lattice_span(self) -> float | None:
         """Span of the lattice the claims live on, or None for a density."""
@@ -162,6 +176,13 @@ class Exponential(SeverityModel):
         self._check_tilt(a)
         return Exponential(self.rate - a)
 
+    def tilt_root(self, lam: float, x: float) -> float:
+        # b - sqrt(lam*b/x) as b*(1 - sqrt(lam/(b*x))): no cancellation near the mean
+        return -math.expm1(0.5 * math.log(lam / (self.rate * x))) * self.rate
+
+    def adjustment_root(self, lam: float, c: float) -> float:
+        return self.rate - lam / c
+
     def as_mixture(self) -> "MixtureOfExponentials":
         return self._mixture
 
@@ -234,6 +255,11 @@ class Gamma(SeverityModel):
         self._check_tilt(a)
         return Gamma(self.shape, self.scale / (1.0 - self.scale * a))
 
+    def tilt_root(self, lam: float, x: float) -> float:
+        # (1 - (lam*shape*scale/x)^(1/(shape+1)))/scale, the power as exp(log) - 1
+        power = math.log(lam * self.shape * self.scale / x) / (self.shape + 1.0)
+        return -math.expm1(power) / self.scale
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.standard_gamma(self.shape, n) * self.scale
 
@@ -268,6 +294,9 @@ class PointMass(SeverityModel):
 
     def tilt(self, a: float) -> "PointMass":
         return self
+
+    def tilt_root(self, lam: float, x: float) -> float:
+        return math.log(x / (lam * self.location)) / self.location
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.location)
@@ -429,25 +458,34 @@ class Lattice(SeverityModel):
         # not a dataclass field: fields are the parameters; LatticeDistribution checks the span
         object.__setattr__(self, "_dist", LatticeDistribution(self.span, np.concatenate([[0.0], f])))
 
-    @cached_property  # cells 1, 2, ...: each sum adds the terms of ``masses`` in their order
+    @cached_property  # the occupied cells in order: an empty cell adds no 0*inf = nan
     def _cells(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.arange(1, self._dist.size) * self.span, self._dist.masses[1:]
+        masses = self._dist.masses
+        n = np.flatnonzero(masses)
+        return n * self.span, masses[n]
+
+    def _sum(self, xi: float, weights: np.ndarray, fn=np.exp) -> float:
+        """sum(weights * fn(xi*x)) over the occupied cells. Far past exp's range
+        the sum is +inf, the transforms' right value there, with no overflow warning."""
+        x = self._cells[0]
+        if xi * x[-1] < 600.0:
+            return float(np.sum(weights * fn(xi * x)))
+        with np.errstate(over="ignore"):
+            return float(np.sum(weights * fn(xi * x)))
 
     def mgf(self, xi: float) -> float:
-        x, f = self._cells
-        return float(np.sum(f * np.exp(xi * x)))
+        return self._sum(xi, self._cells[1])
 
     def mgf_m1(self, xi: float) -> float:
-        x, f = self._cells
-        return float(np.sum(f * np.expm1(xi * x)))
+        return self._sum(xi, self._cells[1], np.expm1)
 
     def mgf_prime(self, xi: float) -> float:
         x, f = self._cells
-        return float(np.sum(f * x * np.exp(xi * x)))
+        return self._sum(xi, f * x)
 
     def mgf_second(self, xi: float) -> float:
         x, f = self._cells
-        return float(np.sum(f * x**2 * np.exp(xi * x)))
+        return self._sum(xi, f * x**2)
 
     def moment(self, k: int) -> float:
         x, f = self._cells
@@ -459,7 +497,8 @@ class Lattice(SeverityModel):
 
     def tilt(self, a: float) -> "Lattice":
         x, f = self._cells
-        w = f * np.exp(a * x)
+        w = np.zeros(self._dist.size - 1)  # every cell, as ``masses``
+        w[self._dist.masses[1:] > 0.0] = f * np.exp(a * x)
         w /= w.sum()
         return Lattice(self.span, w)
 
@@ -472,7 +511,7 @@ class Lattice(SeverityModel):
 
     @cached_property
     def _alias(self) -> tuple[np.ndarray, np.ndarray]:
-        return _alias_table(self._cells[1])
+        return _alias_table(self._dist.masses[1:])
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # each step in place: v becomes the fraction past the cell, then the claim

@@ -911,42 +911,53 @@ def test_table_format_has_header(exp_model):
 
 
 @pytest.fixture
-def newton_solves(monkeypatch):
-    """Counts safeguarded_newton calls at the names the cumulant and ruin layers call."""
-    calls = []
-    original = cumulant.safeguarded_newton
+def solves(monkeypatch):
+    """Counts root computations (the memoized ``_entropy``, ``_lundberg`` and
+    ``_mixture_roots`` calls) and safeguarded_newton calls, at the names the
+    cumulant and ruin layers call."""
+    counts = {"roots": 0, "newton": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def count(module, name, key):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(cumulant, "safeguarded_newton", counted)
-    monkeypatch.setattr(ruin, "safeguarded_newton", counted)
-    return calls
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((cumulant, "_entropy"), (ruin, "_lundberg"), (ruin, "_mixture_roots")):
+        count(module, name, "roots")
+    for module in (cumulant, ruin):
+        count(module, "safeguarded_newton", "newton")
+    return counts
 
 
 @pytest.mark.parametrize(
-    "severity, argv, solves",
+    "severity, argv, roots, newton",
     [
-        # one adjustment coefficient and one mixture root
-        ("kind = exponential\n    rate = 1.0", ["ruin", "--u", "5,10,20"], 2),
-        # one adjustment coefficient and two interlaced mixture roots
+        # the adjustment coefficient and the mixture root, both in closed form
+        ("kind = exponential\n    rate = 1.0", ["ruin", "--u", "5,10,20"], 2, 0),
+        # the adjustment coefficient and two interlaced mixture roots, by Newton
         ("kind = mixture\n    weights = 0.4, 0.6\n    rates = 0.5, 2.0",
-         ["ruin", "--u", "5,10,20"], 3),
+         ["ruin", "--u", "5,10,20"], 2, 3),
         # the adjustment coefficient and six entropy levels; ratio 1 is the time scale
-        ("kind = exponential\n    rate = 1.0", ["ruin-time", "--u", "20"], 7),
+        ("kind = exponential\n    rate = 1.0", ["ruin-time", "--u", "20"], 7, 0),
         # chernoff and esscher share one tilt
-        ("kind = exponential\n    rate = 1.0", ["tail", "--t", "10", "--x", "1.5"], 1),
-        ("kind = gamma\n    shape = 2.5", ["tail", "--t", "10", "--x", "4"], 1),
+        ("kind = exponential\n    rate = 1.0", ["tail", "--t", "10", "--x", "1.5"], 1, 0),
+        ("kind = gamma\n    shape = 2.5", ["tail", "--t", "10", "--x", "4"], 1, 0),
+        # Gamma's adjustment coefficient has no closed form (mean 0.8 keeps c above it)
+        ("kind = gamma\n    shape = 0.8", ["ruin", "--u", "5,10,20"], 1, 1),
     ],
-    ids=["ruin-exponential", "ruin-mixture", "ruin-time", "tail-exponential", "tail-gamma"],
+    ids=["ruin-exponential", "ruin-mixture", "ruin-time", "tail-exponential", "tail-gamma",
+         "ruin-gamma"],
 )
-def test_each_root_is_solved_once_per_command(tmp_path, newton_solves, severity, argv, solves):
+def test_each_root_is_solved_once_per_command(tmp_path, solves, severity, argv, roots, newton):
     model = tmp_path / "m.model"
     model.write_text(EXP_MODEL_TEXT.replace("kind = exponential\n    rate = 1.0", severity))
     code, _ = run([argv[0], str(model), *argv[1:]])
     assert code == 0
-    assert len(newton_solves) == solves
+    assert solves == {"roots": roots, "newton": newton}
 
 
 # ---------------------------------------------------------------------------

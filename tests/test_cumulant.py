@@ -1,6 +1,7 @@
 """Cumulant/entropy pair, Chernoff and Esscher approximations, portfolios."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,22 @@ def test_entropy_names_the_level_past_a_finite_abscissa():
     # g' of Gamma claims stays finite below the abscissa 1, so 1e300 is out of reach
     with pytest.raises(DomainError, match="g' never reaches 1e\\+300 below the abscissa 1.0"):
         entropy(CompoundModel(1.0, Gamma(2.5)), 1e300)
+
+
+def test_entropy_solves_a_lattice_law_with_empty_cells_without_warnings():
+    # atoms 1/2 at 1 and at 1000, 998 empty cells between. The bracket probe
+    # at xi = 1 overflows e^{1000 xi}: +inf is the right g' there, and no
+    # empty cell adds 0*inf = nan. From the probe, Newton steps of about
+    # 1/1000 would crawl down the exponential; bisection takes over instead.
+    model = CompoundModel(1.0, Lattice(1.0, (0.5,) + (0.0,) * 998 + (0.5,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.g_prime(1.0) == math.inf
+        point = entropy(model, 750.75)
+    assert point.tilt == pytest.approx(4.058e-4, rel=1e-3)
+    assert point.h == pytest.approx(0.054200, rel=1e-4)
+    assert model.g_prime(point.tilt) == pytest.approx(750.75, rel=1e-13)
+    assert point.h == pytest.approx(750.75 * point.tilt - model.g(point.tilt), rel=1e-13)
 
 
 def test_expand_upper_never_calls_f_at_a_finite_limit():

@@ -334,19 +334,22 @@ def test_chunk_memory_does_not_grow_with_the_hitting_levels():
 
 
 def test_a_ruin_level_costs_no_more_memory_than_a_tail_probe():
-    # one 2e6-event chunk, once with one tail probe and once with one ruin
-    # level: each block's arrays are dropped before the next block is drawn,
-    # and the excess is built in place, so the scans peak alike
+    # one 2e6-event chunk, once with one tail probe before the horizon and
+    # once with one ruin level: each block's arrays are dropped before the
+    # next block is drawn, and the excess is built in place, so the scans
+    # peak alike. A probe at the horizon draws no arrival times and peaks lower.
     none = dict(tail_probes=(), ruin_levels=(), hitting_levels=(), collect_ruin_times=None)
     for name, severity in SEVERITIES.items():
         peaks = []
-        for probes in (dict(tail_probes=((320.0, 1.0),)), dict(ruin_levels=(5.0,))):
+        for probes in (dict(tail_probes=((160.0, 1.0),)), dict(ruin_levels=(5.0,)),
+                       dict(tail_probes=((320.0, 1.0),))):
             plan = make_plan(system=loaded_system(severity), horizon=320.0, n_paths=6_250,
                              seed=53, **{**none, **probes})
             result, peak = traced_peak(plan)
             assert result.diagnostics["chunk_paths"] >= plan.n_paths, name
             peaks.append(peak)
         assert peaks[1] <= 1.02 * peaks[0], (name, peaks)
+        assert peaks[2] < peaks[0], (name, peaks)
 
 
 def test_ruin_at_jump_and_hitting_between_jumps():

@@ -802,6 +802,12 @@ def _record_newton(monkeypatch):
     return calls
 
 
+# Newton solves of the adjustment coefficient and one tilt, by claim kind: exponential
+# claims give both in closed form, Gamma and point-mass claims the tilt only
+NEWTON_SOLVES = {"Exponential": 0, "Gamma": 1, "PointMass": 1, "MixtureOfExponentials": 2,
+                 "Lattice": 2}
+
+
 @pytest.mark.parametrize("loading", [1.25, 0.8], ids=["positive", "negative"])
 @pytest.mark.parametrize("severity", CLAIM_KINDS, ids=lambda s: type(s).__name__)
 def test_finite_time_bound_reads_the_scale_exponent_from_the_root(monkeypatch, severity, loading):
@@ -810,7 +816,9 @@ def test_finite_time_bound_reads_the_scale_exponent_from_the_root(monkeypatch, s
     model = CompoundModel(1.3, severity)
     system = RiskSystem(model, loading * model.mean_rate)
     bound = finite_time_bound(system, 3.0, 2.0 / system.premium_rate)
-    assert len(calls) == 2  # the adjustment coefficient and the entropy at c +- 1/t
+    # two roots computed: the adjustment coefficient and the entropy at c +- 1/t
+    assert [key[0] for key in model._roots] == ["lundberg", "entropy"]
+    assert len(calls) == NEWTON_SOLVES[type(severity).__name__]
     assert bound.exponent_at_scale == pytest.approx(abs(bound.R), rel=1e-14)
     assert bound.exponent >= abs(bound.R) * (1.0 - 1e-12)  # the minimum of H is at tbar
 
@@ -830,7 +838,11 @@ def test_mixture_root_functions_match_the_np_sum_expressions_bit_for_bit(
     with pytest.MonkeyPatch.context() as patch:
         calls = _record_newton(patch)
         result = mixture_exact(system, 1.0)
-    assert len(calls) == n  # one solve per decay rate
+    assert len(calls) == (n if n > 1 else 0)  # one solve per decay rate, none for one
+    if n == 1:  # the closed form b - lambda*w/c; at w = 1 the exponential law's R bit for bit
+        assert result.decay_rates == (rates[0] - lam * weights[0] / system.premium_rate,)
+        exponential = RiskSystem(CompoundModel(lam, Exponential(rates[0])), system.premium_rate)
+        assert mixture_exact(exponential, 1.0).decay_rates == (lundberg(exponential).R,)
     # the closures' old np.sum expressions, evaluated inside each root's interval
     w, b, c = np.asarray(mix.weights), np.asarray(mix.rates), system.premium_rate
     edges = np.concatenate([[0.0], b])

@@ -97,24 +97,29 @@ def test_traced_simulate_fills_the_monte_carlo_counters():
 def test_traced_analytic_bundle_solves_each_root_once():
     # one bundle of the analytic calls on one model: the tilt at x, the
     # adjustment coefficient and the finite-time bound's entropy level at t;
-    # its level at the time scale is read from the adjustment coefficient
+    # its level at the time scale is read from the adjustment coefficient.
+    # Exponential claims give every root in closed form; Gamma claims give
+    # the tilts, and Newton finds the adjustment coefficient.
     lib = SimpleNamespace(**{m: importlib.import_module(f"collrisk.{m}") for m in MODULES})
-    model = lib.cumulant.CompoundModel(1.0, lib.severity.Exponential(1.0))
-    system = lib.ruin.RiskSystem(model, 1.25, 0.0)
-    tracer = _load_tracer().Tracer()
-    try:
-        tracer.install(lib)
-        lib.cumulant.entropy(model, 1.5)
-        lib.cumulant.chernoff_bound(model, 10.0, 1.5)
-        lib.cumulant.esscher_tail(model, 10.0, 1.5)
-        tbar = lib.ruin.lundberg(system).time_scale
-        lib.ruin.finite_time_bound(system, 20.0, 0.5 * tbar)
-        lib.ruin.ruin_time_clt(system, 20.0, 0.0)
-    finally:
-        tracer.uninstall()
-    assert tracer.calls["rootfind.newton"] == 3
-    assert tracer.counts["newton_evals"] > 0  # the wrapped f and f' of each solve ran
-    assert tracer.calls["cumulant.entropy"] == 4  # every call is traced; hits skip the solve
+    for severity, newton in ((lib.severity.Exponential(1.0), 0), (lib.severity.Gamma(0.8), 1)):
+        model = lib.cumulant.CompoundModel(1.0, severity)
+        system = lib.ruin.RiskSystem(model, 1.25, 0.0)
+        x = 1.2 * model.mean_rate
+        tracer = _load_tracer().Tracer()
+        try:
+            tracer.install(lib)
+            lib.cumulant.entropy(model, x)
+            lib.cumulant.chernoff_bound(model, 10.0, x)
+            lib.cumulant.esscher_tail(model, 10.0, x)
+            tbar = lib.ruin.lundberg(system).time_scale
+            lib.ruin.finite_time_bound(system, 20.0, 0.5 * tbar)
+            lib.ruin.ruin_time_clt(system, 20.0, 0.0)
+        finally:
+            tracer.uninstall()
+        assert len(model._roots) == 3  # two tilts and the adjustment coefficient
+        assert tracer.calls["rootfind.newton"] == newton
+        assert (tracer.counts["newton_evals"] > 0) == (newton > 0)  # the wrapped f and f' ran
+        assert tracer.calls["cumulant.entropy"] == 4  # every call is traced; hits skip the solve
 
 
 def test_traced_lattice_entry_runs_the_one_esscher_body():
