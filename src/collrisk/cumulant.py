@@ -137,8 +137,11 @@ def _entropy(model: CompoundModel, x: float) -> EntropyPoint:
     mean = model.mean_rate
     if abs(x - mean) <= 1e-12 * max(1.0, mean):
         return EntropyPoint(x, 0.0, 0.0)
-    xi = model.severity.tilt_root(model.rate, x)
-    if xi is None:
+    try:
+        xi = model.severity.tilt_root(model.rate, x)
+    except (ValueError, OverflowError):  # log(0) or exp past its range
+        xi = math.nan
+    if xi is None or not math.isfinite(xi):  # no closed form, or it leaves the float range
         xi = _solve_tilt(model, x, mean)
     elif not xi < model.xi_bar:
         raise DomainError(f"g' never reaches {x} below the abscissa {model.xi_bar}")

@@ -203,7 +203,7 @@ def _lundberg(system: RiskSystem) -> LundbergSolution:
     system._require_nonzero_loading()
     positive = system.loading > 0.0
     root = model.severity.adjustment_root(model.rate, c)
-    if root is None:
+    if root is None or not math.isfinite(root):  # no closed form, or lambda/c overflows
         root = _solve_adjustment(model, c, positive)
     residual = model.g(root) - c * root
     if abs(residual) > 1e-12 * max(1.0, abs(c * root)):

@@ -94,7 +94,9 @@ class SeverityModel:
 
         The caller keeps x positive and off the mean rate lam*mu, and checks
         that xi lies below the abscissa: a root within rounding of it comes
-        back as the abscissa itself.
+        back as the abscissa itself. Where an intermediate leaves the float
+        range the result may be infinite, or math may raise ValueError or
+        OverflowError; the caller then solves by bracketing.
         """
         return None
 

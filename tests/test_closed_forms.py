@@ -13,8 +13,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from collrisk import CompoundModel, DomainError, Exponential, Gamma, PointMass, RiskSystem
-from collrisk import entropy, lundberg, mixture_exact
+from collrisk import CompoundModel, DomainError, Exponential, Gamma, NoRootError, PointMass
+from collrisk import RiskSystem, entropy, lundberg, mixture_exact
 from collrisk.cumulant import _solve_tilt
 from collrisk.ruin import _solve_adjustment
 
@@ -96,3 +96,24 @@ def test_a_tilt_that_rounds_to_the_abscissa_names_the_level(severity):
     assert severity.tilt_root(1.0, 1e300) == severity.xi_bar
     with pytest.raises(DomainError, match="g' never reaches 1e\\+300 below the abscissa 1.0"):
         entropy(CompoundModel(1.0, severity), 1e300)
+
+
+@pytest.mark.parametrize(
+    "severity, x, message",
+    [
+        (Exponential(10.0), 1e308, "g' never reaches 1e\\+308 below the abscissa 10.0"),  # b*x = inf
+        (Exponential(10.0), 1e-320, "g' never falls to 1e-320"),  # lam/(b*x) = inf
+        (Gamma(0.01), 1e-320, "g' never falls to 1e-320"),  # the power overflows
+    ],
+    ids=["exponential-high", "exponential-low", "gamma-low"],
+)
+def test_a_closed_form_past_the_float_range_falls_back_to_bracketing(severity, x, message):
+    # the bracketing path decides, with the message it gave before closed forms
+    with pytest.raises(DomainError, match=message):
+        entropy(CompoundModel(1.0, severity), x)
+
+
+def test_an_adjustment_coefficient_past_the_float_range_falls_back_to_bracketing():
+    # lambda/c overflows to inf: bracketing finds no negative root, as before closed forms
+    with pytest.raises(NoRootError, match="no negative root found"):
+        lundberg(RiskSystem(CompoundModel(1e300, Exponential(1.0)), 1e-10))
