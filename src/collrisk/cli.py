@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
     RootBracketError,
 )
-from .lattice import check_cells, panjer, step_at, steps_to, steps_within
+from .lattice import check_cells, compound_poisson_tail, panjer, step_at, steps_to, steps_within
 from .ruin import (
     LundbergSolution,
     RiskSystem,
@@ -392,10 +392,13 @@ def cmd_tail(spec: ModelSpec, args: argparse.Namespace) -> str:
         note = f"discretized (d={span:g})"
     # P(S(t) >= t*x) is the tail above the last cell below t*x
     m_star = steps_to(t * x, span)
-    n_cells = max(m_star, 1)
-    _check_lattice_budget(controls, n_cells)
-    agg = panjer(model.rate * t, lattice_masses(model.severity, span), n_cells)
-    rows.append(("panjer", t, x, agg.tail(m_star - 1), None, note))
+    _check_lattice_budget(controls, max(m_star, 1))
+    if m_star <= 0:
+        value = 1.0
+    else:
+        value = compound_poisson_tail(model.rate * t, lattice_masses(model.severity, span),
+                                      m_star - 1, bound.point.tilt)
+    rows.append(("panjer", t, x, value, None, note))
 
     if args.mc:
         result = montecarlo.simulate(_plan(system, controls, t, args.workers,

@@ -124,7 +124,7 @@ class RuinCurve:
 
     ``dist`` is the compound-geometric law of the all-time maximum of the
     discretized net loss; ``value(u)`` reads off P(max > u) from its
-    tails, clipped at zero. At u = 0 this excludes the atom at zero and
+    positive-term tails. At u = 0 this excludes the atom at zero and
     equals r exactly.
     """
 
@@ -136,7 +136,7 @@ class RuinCurve:
         idx = steps_within(u, self.dist.span)
         if idx >= self.dist.size:
             raise DomainError(f"capital {u} beyond the computed grid")
-        return max(0.0, float(self.dist.tails[idx]))
+        return float(self.dist.tails[idx])
 
     @property
     def grid(self) -> np.ndarray:
@@ -144,14 +144,14 @@ class RuinCurve:
 
     @property
     def values(self) -> np.ndarray:
-        return np.maximum(self.dist.tails, 0.0)
+        return self.dist.tails
 
 
 def ruin_panjer(system: RiskSystem, d: float, u_max: float) -> RuinCurve:
-    """r(u) for u in [0, u_max] by the compound-geometric recursion.
+    """r(u) for u in [0, u_max] from the compound-geometric law on a lattice.
 
-    The ladder-height density is discretized on span ``d`` and fed to the
-    lattice recursion with r = lambda*mu/c. The curve is nonincreasing,
+    The ladder-height density is discretized on span ``d`` and fed to
+    ``compound_geometric`` with r = lambda*mu/c. The curve is nonincreasing,
     starts at r, and carries the right-endpoint discretization's upward
     bias (conservative for solvency purposes). ``u_max = 0`` gives the
     curve at u = 0 alone, r(0) = r.

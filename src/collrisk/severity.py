@@ -313,7 +313,8 @@ class MixtureOfExponentials(SeverityModel):
     """Weighted mixture of exponential densities with distinct rates.
 
     Rates must be strictly increasing; the convergence abscissa is the
-    smallest rate.
+    smallest rate. Weights must sum to one within 1e-12 and are stored
+    divided by their sum, so every transform sees a law of total mass one.
     """
 
     weights: tuple[float, ...]
@@ -328,8 +329,11 @@ class MixtureOfExponentials(SeverityModel):
             raise DomainError("weights and rates must be nonempty and of equal length")
         if any(v <= 0.0 for v in w):
             raise DomainError(f"weights must be positive, got {w}")
-        if abs(sum(w) - 1.0) > _WEIGHT_TOL:
-            raise DomainError(f"weights sum to {sum(w)}, not 1")
+        total = math.fsum(w)
+        if abs(total - 1.0) > _WEIGHT_TOL:
+            raise DomainError(f"weights sum to {total}, not 1")
+        w = tuple(v / total for v in w)
+        object.__setattr__(self, "weights", w)
         if any(v <= 0.0 for v in b):
             raise DomainError(f"rates must be positive, got {b}")
         if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):

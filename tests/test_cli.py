@@ -9,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from collrisk import Exponential, Lattice, MixtureOfExponentials, ParseError, errors
+from collrisk import chernoff_bound, panjer
 from collrisk import cli, cumulant, ruin, severity
 from collrisk.cli import main, parse_model_file, parse_model_text
 
@@ -339,6 +342,115 @@ def test_ruin_worked_example(exp_model):
     assert exact[5.0] == pytest.approx(0.8 * math.exp(-1.0), rel=1e-10)
     bounds = {float(r[1]): float(r[3]) for r in rows if r[0] == "lundberg-bound"}
     assert bounds[10.0] == pytest.approx(math.exp(-2.0), rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# deep tails: values a running 1 - sum printed as 0 or as negative
+# ---------------------------------------------------------------------------
+
+
+def deep_model(tmp_path, block):
+    """A lambda = 1, c = 1.25, span 0.01 model file with the given severity block."""
+    path = tmp_path / "deep.model"
+    path.write_text(
+        f"lambda = 1.0\npremium_rate = 1.25\nseverity {{\n    {block}}}\nspan = 0.01\n")
+    return str(path)
+
+
+def rows_by_method(argv):
+    code, out = run([*argv, "--format", "csv"])
+    assert code == 0
+    rows = {}
+    for row in csv_rows(out):
+        rows.setdefault(row[0], []).append(row)
+    return rows
+
+
+def test_deep_ruin_matches_the_lattice_closed_form(tmp_path):
+    # Exp(1) claims discretized on d give a geometric ladder, so the lattice maximum
+    # has the tail r*(1 - (1 - r)*(1 - e^-d))^floor(u/d) with r = lambda/(b*c) = 0.8
+    model = deep_model(tmp_path, "kind = exponential\n    rate = 1.0\n")
+    rows = rows_by_method(["ruin", model, "--u", "200,250"])["panjer-recursion"]
+    r, d = 0.8, 0.01
+    for row in rows:
+        u = float(row[1])
+        want = r * (1.0 - (1.0 - r) * (1.0 - math.exp(-d))) ** math.floor(u / d + 1e-9)
+        assert float(row[3]) == pytest.approx(want, rel=1e-5, abs=0.0)
+    assert [float(row[1]) for row in rows] == [200.0, 250.0]
+
+
+@pytest.mark.parametrize("t,x", [(30.0, 3.0), (100.0, 2.0)])
+def test_deep_point_mass_tail_is_the_poisson_tail(tmp_path, t, x):
+    model = deep_model(tmp_path, "kind = point\n    location = 1.0\n")
+    (row,) = rows_by_method(["tail", model, "--t", repr(t), "--x", repr(x)])["panjer"]
+    # P(S(t) >= t*x) = P(N >= t*x) for unit claims
+    assert float(row[3]) == pytest.approx(stats.poisson.sf(t * x - 1, t), rel=1e-10, abs=0.0)
+
+
+def test_deep_two_atom_tail_is_positive_and_below_chernoff(tmp_path):
+    (tmp_path / "atoms.lat").write_text("2 0.5\n4 0.5\n")
+    model = deep_model(tmp_path, "kind = lattice\n    span = 1\n    file = atoms.lat\n")
+    rows = rows_by_method(["tail", model, "--t", "400", "--x", "4.5"])
+    value, chernoff = float(rows["panjer"][0][3]), float(rows["chernoff"][0][3])
+    assert 0.0 < value <= chernoff
+    # S/2 = A + 2B with A, B independent Poisson(200): P(S >= 1800) summed over B
+    b = np.arange(0, 451)
+    exact = math.fsum(stats.poisson.pmf(b, 200.0) * stats.poisson.sf(900 - 2 * b - 1, 200.0))
+    assert value == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+def test_deep_exponential_tail_is_positive_and_below_chernoff(tmp_path):
+    model = deep_model(tmp_path, "kind = exponential\n    rate = 1.0\n")
+    rows = rows_by_method(["tail", model, "--t", "80", "--x", "3"])
+    value, chernoff = float(rows["panjer"][0][3]), float(rows["chernoff"][0][3])
+    assert 0.0 < value <= chernoff
+
+
+@settings(max_examples=60, deadline=None)
+@example(n_cells=1, lam=2.0, factor=2.5, sparsity=0.0, seed=0)
+@example(n_cells=12, lam=0.3, factor=0.5, sparsity=0.0, seed=1)
+@example(n_cells=12, lam=2.0, factor=2.5, sparsity=0.8, seed=2)
+@given(
+    n_cells=st.integers(1, 12),
+    lam=st.floats(0.3, 2.0),
+    factor=st.floats(0.5, 2.5),
+    sparsity=st.floats(0.0, 0.8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_printed_tail_of_a_random_lattice_law(
+    tmp_path_factory, n_cells, lam, factor, sparsity, seed
+):
+    rng = np.random.default_rng(seed)
+    f = rng.random(n_cells) * (rng.random(n_cells) >= sparsity)
+    f[-1] += f.sum() == 0.0
+    f /= f.sum()
+    folder = tmp_path_factory.mktemp("law")
+    lines = [f"{j + 1} {float(p)!r}\n" for j, p in enumerate(f) if p]
+    (folder / "law.lat").write_text("".join(lines))
+    path = folder / "law.model"
+    path.write_text(f"lambda = {lam!r}\npremium_rate = 100\nseverity {{\n    kind = lattice\n"
+                    f"    span = 1\n    file = law.lat\n}}\n")
+    t = 30.0
+    model = parse_model_file(str(path)).system.model
+    x = float(factor * model.mean_rate)
+    rows = rows_by_method(["tail", str(path), "--t", repr(t), "--x", repr(x)])
+    value, chernoff = float(rows["panjer"][0][3]), float(rows["chernoff"][0][3])
+    assert 0.0 <= value <= 1.0
+    if rows["chernoff"][0][5] == "upper-tail":
+        assert value <= chernoff * (1.0 + 1e-9)
+    # P(S >= m) from masses summed in reverse, up to a top past which the Chernoff
+    # bound leaves at most 1e-12 of the sum
+    m = math.ceil(t * x - 1e-9)
+    top = 2 * m + 10
+    while True:
+        g = panjer(lam * t, model.severity.as_distribution(), top).masses
+        total = math.fsum(g[m:][::-1])
+        beyond = chernoff_bound(model, t, (top + 1) / t).bound
+        if beyond <= 1e-12 * total:
+            break
+        top *= 2
+    if total > 1e-250:
+        assert value == pytest.approx(total, rel=1e-10, abs=0.0)
 
 
 def test_ruin_negative_loading_is_informative(tmp_path):

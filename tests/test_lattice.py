@@ -22,6 +22,7 @@ from collrisk import (
     LatticeDistribution,
     PointMass,
     RiskSystem,
+    RuinCurve,
     UnderflowWarning,
     compound_geometric,
     discretize,
@@ -83,6 +84,18 @@ def cell_rule(coef, steps, seed, log_seed):
         return work * math.exp(log_scale)
     with np.errstate(divide="ignore"):
         return np.exp(np.log(work) + log_scale)
+
+
+def renewal_tails(r, k, n_out):
+    """T_n = r*(Kbar_n + k_1 T_{n-1} + ... + k_n T_0) one cell at a time: positive terms only."""
+    kbar = np.zeros(n_out + 1)
+    upper = np.cumsum(k[:0:-1])[::-1]  # Kbar_n = sum_{j>n} k_j
+    kbar[: min(upper.size, n_out + 1)] = upper[: n_out + 1]
+    tails = np.zeros(n_out + 1)
+    for n in range(n_out + 1):
+        m = min(n, k.size - 1)
+        tails[n] = r * (kbar[n] + np.dot(k[1 : m + 1], tails[n - 1 :: -1][:m]))
+    return tails
 
 
 def assert_matches_cell_rule(masses, reference, rel):
@@ -371,7 +384,7 @@ def test_kernel_bits_are_the_solve_triangular_bits(
 def test_kernel_raises_when_lapack_reports_a_failure(monkeypatch):
     monkeypatch.setattr(lattice_module, "_TRTRS", lambda a, b, **flags: (b.copy(), 1))
     with pytest.raises(np.linalg.LinAlgError, match="info 1"):
-        compound_geometric(0.5, lattice(1.0, [0.0, 0.5, 0.5]), 10)
+        panjer(0.5, lattice(1.0, [0.0, 0.5, 0.5]), 10)
 
 
 @pytest.mark.parametrize("n_out", [1, 63, 64, 65, 1000])
@@ -404,11 +417,35 @@ def test_panjer_bench_shape_matches_cell_rule(bench_severity):
 
 
 def test_compound_geometric_bench_shape_matches_cell_rule(bench_severity):
+    # the transform's tails hold 1e-10 of the positive-term renewal; a mass is the
+    # difference of two tails about 1 - e^-0.002 apart, so its tolerance is 1e-8
     r, n_out = 0.8, 25_000
     reference = cell_rule(bench_severity.masses, np.full(n_out, r), 1.0 - r, 0.0)
-    masses = compound_geometric(r, bench_severity, n_out).masses
-    assert masses.size == 25_001
-    assert_matches_cell_rule(masses, reference, 1e-13)
+    cg = compound_geometric(r, bench_severity, n_out)
+    assert cg.masses.size == 25_001
+    assert_matches_cell_rule(cg.masses, reference, 1e-8)
+    assert_matches_cell_rule(cg.tails, renewal_tails(r, bench_severity.masses, n_out), 1e-10)
+
+
+@settings(max_examples=80, deadline=None)
+@example(n_coef=1, n_out=400, r=0.02, sparsity=0.0, seed=0)
+@example(n_coef=30, n_out=400, r=0.98, sparsity=0.0, seed=1)
+@example(n_coef=12, n_out=300, r=0.5, sparsity=0.9, seed=2)
+@given(
+    n_coef=st.integers(1, 30),
+    n_out=st.integers(1, 400),
+    r=st.floats(0.02, 0.98),
+    sparsity=st.floats(0.0, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ruin_curve_on_random_ladders_matches_the_renewal(n_coef, n_out, r, sparsity, seed):
+    k = kernel_args(n_coef, n_out, False, 1.0, r, sparsity, seed)[0]
+    values = RuinCurve(compound_geometric(r, lattice(1.0, k), n_out)).values
+    assert np.all(np.diff(values) <= 0.0)
+    assert values.min() >= 0.0 and values.max() <= r
+    reference = renewal_tails(r, k, n_out)
+    shown = reference >= 1e-250
+    assert np.all(np.abs(values[shown] - reference[shown]) <= 1e-10 * reference[shown])
 
 
 def test_panjer_scaled_point_mass_keeps_every_block_finite():
@@ -537,8 +574,10 @@ def test_recursions_refuse_work_past_the_budget_before_they_start():
     with pytest.raises(GridError, match=r"1000000 cells x 1000000 coefficient cells = 1e\+12 "
                                         r"multiply-adds exceed the recursion budget of 2e\+11"):
         panjer(1.0, wide, 10**6)
-    with pytest.raises(GridError, match="exceed the recursion budget"):
-        compound_geometric(0.5, wide, 10**6)
+    # the transform needs about 3 points per cell, so 4e6 cells ask for more than the cap
+    with pytest.raises(GridError, match=f"an FFT of 12000000 points exceeds the cap of "
+                                        f"{MAX_CELLS} cells"):
+        compound_geometric(0.5, wide, 4 * 10**6)
     # counted on the maximal span: 1,000 cells x 1,000 coefficient cells
     sparse = np.zeros(10**6 + 1)
     sparse[1000::1000] = 1e-3
@@ -558,6 +597,11 @@ def test_lattice_distribution_validation():
         LatticeDistribution(1.0, np.array([0.7, 0.7]))
     with pytest.raises(DomainError):
         LatticeDistribution(1.0, np.array([-0.1, 0.5]))
+    with pytest.raises(DomainError, match="1 tails for 2 masses"):
+        LatticeDistribution(1.0, np.array([0.5, 0.5]), tails=np.array([0.5]))
+    # given tails are kept as given, not recomputed from the masses
+    given_tails = LatticeDistribution(1.0, np.array([0.5, 0.25]), tails=np.array([0.5, 0.25]))
+    assert given_tails.tail(1) == 0.25 and given_tails.remainder == 0.25
 
 
 # ---------------------------------------------------------------------------

@@ -823,6 +823,15 @@ def test_finite_time_bound_reads_the_scale_exponent_from_the_root(monkeypatch, s
     assert bound.exponent >= abs(bound.R) * (1.0 - 1e-12)  # the minimum of H is at tbar
 
 
+def test_one_component_mixture_decays_at_the_exponential_rate():
+    # a one-component weight a rounding below one is stored as one: R = b - lambda/c
+    mix = MixtureOfExponentials((0.9999999999999999,), (2.0,))
+    system = RiskSystem(CompoundModel(1.5, mix), 1.25)
+    exponential = RiskSystem(CompoundModel(1.5, Exponential(2.0)), 1.25)
+    assert mixture_exact(system, 1.0).decay_rates == (2.0 - 1.5 / 1.25,)
+    assert mixture_exact(system, 3.0).value == mixture_exact(exponential, 3.0).value
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.floats(0.3, 1.5), st.floats(0.3, 3.0), st.floats(1.05, 3.0),
        st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
@@ -840,7 +849,7 @@ def test_mixture_root_functions_match_the_np_sum_expressions_bit_for_bit(
         result = mixture_exact(system, 1.0)
     assert len(calls) == (n if n > 1 else 0)  # one solve per decay rate, none for one
     if n == 1:  # the closed form b - lambda*w/c; at w = 1 the exponential law's R bit for bit
-        assert result.decay_rates == (rates[0] - lam * weights[0] / system.premium_rate,)
+        assert result.decay_rates == (rates[0] - lam * mix.weights[0] / system.premium_rate,)
         exponential = RiskSystem(CompoundModel(lam, Exponential(rates[0])), system.premium_rate)
         assert mixture_exact(exponential, 1.0).decay_rates == (lundberg(exponential).R,)
     # the closures' old np.sum expressions, evaluated inside each root's interval

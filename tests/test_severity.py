@@ -456,6 +456,19 @@ def test_invalid_parameters():
         Lattice(1.0, (0.5, 0.4))
 
 
+def test_mixture_weights_off_one_are_renormalized_once():
+    mix = MixtureOfExponentials((0.3, 0.7 - 5e-13), (1.0, 2.0))
+    assert sum(mix.weights) == 1.0
+    assert mix.weights == pytest.approx((0.3 / (1.0 - 5e-13), (0.7 - 5e-13) / (1.0 - 5e-13)),
+                                        rel=1e-16, abs=0.0)
+    # every transform sees one law of total mass one
+    assert mix.mgf(0.0) == 1.0
+    assert mix.mgf_m1(0.0) == 0.0
+    assert mix.sf(0.0) == mix.sf(1e-300) == 1.0
+    assert mix.mean == pytest.approx(0.3 / 1.0 + 0.7 / 2.0, rel=1e-15)
+    assert MixtureOfExponentials((0.9999999999999999,), (2.0,)).weights == (1.0,)
+
+
 _MIX = MixtureOfExponentials((0.5, 0.5), (1.0, 2.0))
 
 
