@@ -40,7 +40,7 @@ from .errors import (
     TailError,
     UnderflowWarning,
 )
-from .lattice import LatticeDistribution, compound_geometric, compound_poisson_tail, panjer
+from .lattice import LatticeDistribution, compound_geometric, panjer
 from .montecarlo import (
     EstimateWithError,
     RuinTimeStudy,
