@@ -24,7 +24,6 @@ from .cumulant import (
     portfolio_exact_tail,
     portfolio_tail_bracket,
     portfolio_to_compound,
-    suggest_truncation,
 )
 from .errors import (
     BudgetError,

@@ -207,7 +207,7 @@ def _lattice_from_file(span: float, path: Path) -> Lattice:
     if abs(total - 1.0) > 1e-12:
         logger.warning("lattice file %s: masses sum to %.17g, renormalizing", path, total)
         arr = arr / total
-    return Lattice(span, tuple(arr))
+    return Lattice(span, arr)
 
 
 # severity kind -> its law and the law's keys, each with its parser, in argument order
@@ -384,8 +384,9 @@ def cmd_tail(spec: ModelSpec, args: argparse.Namespace) -> str:
         prefactor = "modified prefactor" if lattice else "expanded prefactor"
         rows.append(("esscher-explicit", t, x, tail.value_explicit, None, prefactor))
 
-    # a lattice law fixes the panjer span
-    span = model.severity.lattice_span
+    # a lattice law fixes the panjer span: the span its masses are declared on
+    exact = model.severity.as_distribution()
+    span = model.severity.lattice_span if exact is None else exact.span
     note = "exact"
     if span is None:
         span = controls.span
@@ -517,7 +518,8 @@ def cmd_seal(spec: ModelSpec, args: argparse.Namespace) -> str:
     u, t = args.u, args.t
     sev = system.model.severity
     # exact lattice masses fix the span; every other law, a point mass too, is discretized
-    span = controls.span if sev.as_distribution() is None else sev.lattice_span
+    exact = sev.as_distribution()
+    span = controls.span if exact is None else exact.span
     # seal's aggregate recursion runs to the first cell at or above u + c*t
     _check_lattice_budget(controls, steps_to(u + system.premium_rate * t, span))
     result = seal(system, t, d=span)

@@ -22,9 +22,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError
-from .lattice import (
-    MAX_CELLS, check_cells, check_span, first_step, step_at, steps_to, steps_within
-)
+from .lattice import MAX_CELLS, check_cells, check_span, step_at, steps_to, steps_within
 from .rootfind import expand_lower, expand_upper, safeguarded_newton
 from .severity import Lattice, SeverityModel
 
@@ -50,7 +48,6 @@ __all__ = [
     "portfolio_to_compound",
     "portfolio_exact_tail",
     "portfolio_tail_bracket",
-    "suggest_truncation",
 ]
 
 
@@ -251,7 +248,8 @@ def esscher_tail(model: CompoundModel, t: float, x: float) -> EsscherTail:
     A density gets the prefactor 1/a and E(a sigma). On a lattice of span d
     1/a becomes 1/A(d) with A(d) = (1 - e^{-ad})/d, which recovers the
     continuous form as d -> 0, and E(a sigma) becomes the discrete Esscher
-    function E(ad, d/sigma).
+    function E(ad, d/sigma). d is the law's maximal span (``lattice_span``):
+    only there is the lattice form exact in the limit.
     """
     if not t > 0.0:
         raise DomainError(f"horizon must be positive, got {t}")
@@ -440,26 +438,3 @@ def portfolio_tail_bracket(portfolio: Portfolio, span: float, x: float | list[fl
     lower = _lattice_tails(portfolio, [steps_within(v, check_span(span)) for v in sums], span, x)
     upper = _lattice_tails(portfolio, [max(1, steps_to(v, span)) for v in sums], span, x)
     return lower, upper
-
-
-def suggest_truncation(
-    model: CompoundModel, t: float, d: float, tol: float = 1e-12
-) -> int:
-    """Smallest lattice index n past the mean with exp(-t*h(n*d/t)) below ``tol``.
-
-    Ties the exponential tail bound to the recursion truncation point: mass
-    beyond the suggested index is provably below ``tol``. The search
-    (``lattice.first_step``) starts at ``steps_to(t*mean_rate, d)``; no such
-    index up to ``lattice.MAX_CELLS`` is a DomainError.
-    """
-    if not t > 0.0:
-        raise DomainError(f"horizon must be positive, got {t}")
-    check_span(d)
-
-    def below(n: int) -> bool:
-        return math.exp(-t * entropy(model, n * d / t).h) < tol
-
-    n = first_step(below, steps_to(t * model.mean_rate, d))
-    if n is None:
-        raise DomainError(f"no truncation point below tolerance within {MAX_CELLS} cells")
-    return n

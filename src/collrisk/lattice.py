@@ -17,6 +17,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -38,11 +39,6 @@ MAX_CELLS = 10**7  # most cells past the origin that any lattice array may hold
 # most multiply-adds (cells x coefficient cells) one recursion may take: about 50 s of
 # kernel time at the 4e9 a second that the blocked kernel reaches on one Xeon core
 WORK_BUDGET = 2e11
-
-
-def _tails_from_masses(masses: np.ndarray) -> np.ndarray:
-    """Upper tails G_m = P(> m*d) by the sequential update G_m = G_{m-1} - g_m."""
-    return np.subtract.accumulate(np.concatenate(([1.0], masses)))[1:]
 
 
 def check_span(span: float) -> float:
@@ -114,26 +110,32 @@ def steps_within(x: float | np.ndarray, span: float) -> int | np.ndarray:
     return np.floor(q).astype(int) if isinstance(q, np.ndarray) else int(math.floor(q))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LatticeDistribution:
-    """Probability masses on ``{0, d, 2d, ...}`` with cached upper tails.
+    """Probability masses on ``{0, d, 2d, ...}`` and their upper tails.
 
     ``masses[n]`` is the probability of the point ``n*span``. ``tails[n]``
     is ``P(> n*span)``; the last tail equals the truncation remainder, the
-    probability mass beyond the stored support. Tails not given are
-    computed from the masses by running subtraction, whose error is
-    absolute (about 1e-15); an engine that computes its tails from
-    positive terms passes them in. ``rescales`` counts the times the
-    recursion that made the masses scaled its work down by e^-600 (0 for
-    masses from anywhere else).
+    probability mass beyond the stored support. An engine that computes
+    its tails from positive terms passes them in as ``tails``. Tails not
+    given are computed from the masses on first read, by the running
+    subtraction G_n = G_{n-1} - g_n, whose error is absolute (about 1e-15),
+    and kept. ``rescales`` counts the times the recursion that made the
+    masses scaled its work down by e^-600 (0 for masses from anywhere else).
     """
 
     span: float
     masses: np.ndarray
     rescales: int = 0
-    tails: np.ndarray | None = None
 
-    def __post_init__(self):
+    def __init__(self, span: float, masses: np.ndarray, rescales: int = 0,
+                 tails: np.ndarray | None = None):
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "rescales", rescales)
+        self.__post_init__(tails)
+
+    def __post_init__(self, tails: np.ndarray | None):
         check_span(self.span)
         masses = np.asarray(self.masses, dtype=float)
         if masses.ndim != 1 or masses.size == 0:
@@ -146,14 +148,18 @@ class LatticeDistribution:
             raise DomainError(f"masses sum to {total} > 1")
         masses.setflags(write=False)
         object.__setattr__(self, "masses", masses)
-        if self.tails is None:
-            tails = _tails_from_masses(masses)
-        else:
-            tails = np.asarray(self.tails, dtype=float)
+        if tails is not None:
+            tails = np.asarray(tails, dtype=float)
             if tails.shape != masses.shape:
                 raise DomainError(f"{tails.size} tails for {masses.size} masses")
+            tails.setflags(write=False)
+            self.__dict__["tails"] = tails  # given tails stand in for the computed ones
+
+    @cached_property
+    def tails(self) -> np.ndarray:
+        tails = np.subtract.accumulate(np.concatenate(([1.0], self.masses)))[1:]
         tails.setflags(write=False)
-        object.__setattr__(self, "tails", tails)
+        return tails
 
     @property
     def size(self) -> int:

@@ -446,29 +446,43 @@ class Lattice(SeverityModel):
     """Discrete claim sizes on ``{d, 2d, ...}``; ``masses[n-1]`` sits at ``n*d``.
 
     Support is strictly positive and finite, so the generating function is
-    entire (infinite convergence abscissa). The masses are also held as one
-    LatticeDistribution, built once, that ``as_distribution`` returns.
+    entire (infinite convergence abscissa). The masses, given as any
+    sequence, must sum to one within 1e-12 and are divided by their
+    ``math.fsum``, so every transform sees a law of total mass one. They are
+    held once, as the LatticeDistribution that ``as_distribution`` returns;
+    ``masses`` is a read-only view of its cells 1..n. Laws are equal, and
+    hash alike, when their spans and mass values are.
     """
 
     span: float
-    masses: tuple[float, ...]
+    masses: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.masses, dtype=float)  # converted and checked as one array
-        object.__setattr__(self, "masses", tuple(f.tolist()))
-        if (f < 0.0).any():
+        cells = np.concatenate(([0.0], np.asarray(self.masses, dtype=float)))
+        if (cells < 0.0).any():
             raise DomainError("lattice masses must be nonnegative")
-        total = float(f.sum())
-        if abs(total - 1.0) > _WEIGHT_TOL:
+        index = np.flatnonzero(cells)  # the occupied cells in order
+        total = math.fsum(cells[index].tolist())
+        if not abs(total - 1.0) <= _WEIGHT_TOL:
             raise DomainError(f"lattice masses sum to {total}, not 1")
-        # not a dataclass field: fields are the parameters; LatticeDistribution checks the span
-        object.__setattr__(self, "_dist", LatticeDistribution(self.span, np.concatenate([[0.0], f])))
+        cells[index] /= total
+        # not dataclass fields: LatticeDistribution checks the span and holds the one copy
+        dist = LatticeDistribution(self.span, cells)
+        object.__setattr__(self, "_dist", dist)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "masses", dist.masses[1:])
 
-    @cached_property  # the occupied cells in order: an empty cell adds no 0*inf = nan
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.span == other.span and np.array_equal(self.masses, other.masses)
+
+    def __hash__(self):
+        return hash((self.span, self.masses.tobytes()))
+
+    @cached_property  # an empty cell adds no 0*inf = nan
     def _cells(self) -> tuple[np.ndarray, np.ndarray]:
-        masses = self._dist.masses
-        n = np.flatnonzero(masses)
-        return n * self.span, masses[n]
+        return self._index * self.span, self._dist.masses[self._index]
 
     def _sum(self, xi: float, weights: np.ndarray, fn=np.exp) -> float:
         """sum(weights * fn(xi*x)) over the occupied cells. Far past exp's range
@@ -503,21 +517,22 @@ class Lattice(SeverityModel):
 
     def tilt(self, a: float) -> "Lattice":
         x, f = self._cells
-        w = np.zeros(self._dist.size - 1)  # every cell, as ``masses``
-        w[self._dist.masses[1:] > 0.0] = f * np.exp(a * x)
+        w = np.zeros(self.masses.size)
+        w[self._index - 1] = f * np.exp(a * x)
         w /= w.sum()
         return Lattice(self.span, w)
 
-    @property
+    @cached_property
     def lattice_span(self) -> float:
-        return self.span
+        """The maximal span: d times the gcd of the occupied cells."""
+        return self.span * int(np.gcd.reduce(self._index))
 
     def as_distribution(self) -> LatticeDistribution:
         return self._dist
 
     @cached_property
     def _alias(self) -> tuple[np.ndarray, np.ndarray]:
-        return _alias_table(self._dist.masses[1:])
+        return _alias_table(self.masses)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # each step in place: v becomes the fraction past the cell, then the claim

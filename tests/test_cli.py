@@ -133,7 +133,7 @@ def test_parse_lattice_file(tmp_path):
     spec = parse_model_text(text, tmp_path)
     severity = spec.system.model.severity
     assert isinstance(severity, Lattice)
-    assert severity.masses == (0.25, 0.75)
+    assert severity.masses.tolist() == [0.25, 0.75]
 
 
 def test_parse_lattice_file_errors(tmp_path):
@@ -242,7 +242,7 @@ def test_two_column_file_skips_blank_and_comment_lines(tmp_path, which):
     if which == "policy":
         assert read == cumulant.Portfolio((cumulant.Policy(0.5, 0.25), cumulant.Policy(1.0, 0.75)))
     else:
-        assert read.masses == (0.25, 0.75)
+        assert read.masses.tolist() == [0.25, 0.75]
 
 
 # ---------------------------------------------------------------------------

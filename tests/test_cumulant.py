@@ -1,6 +1,7 @@
 """Cumulant/entropy pair, Chernoff and Esscher approximations, portfolios."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,8 +33,8 @@ from collrisk import (
     portfolio_exact_tail,
     portfolio_to_compound,
     simulate,
-    suggest_truncation,
 )
+from collrisk.lattice import compound_poisson_tail, steps_to
 from collrisk.rootfind import expand_upper
 
 EXP_MODEL = CompoundModel(1.0, Exponential(1.0))
@@ -450,9 +451,84 @@ def test_span_correction_keeps_its_digits_near_the_mean():
         assert tail.span_correction == pytest.approx(series, rel=1e-14, abs=0.0)
 
 
+def test_esscher_reads_the_maximal_span():
+    # masses 1/2 at 2 and at 4, declared on span 1 and on span 2: S(200) >= 900
+    # is A + 2B >= 450 with A, B independent Poisson(100), summed over B
+    t, x = 200.0, 4.5
+    tails = [esscher_tail(CompoundModel(1.0, Lattice(d, masses)), t, x).value
+             for d, masses in ((1.0, (0.0, 0.5, 0.0, 0.5)), (2.0, (0.5, 0.5)))]
+    b = np.arange(0, 451)
+    exact = math.fsum(stats.poisson.pmf(b, 100.0) * stats.poisson.sf(450 - 2 * b - 1, 100.0))
+    assert tails[0] == pytest.approx(tails[1], rel=1e-12, abs=0.0)
+    assert tails[0] == pytest.approx(exact, rel=0.01, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@example(n=1, g=2, sparsity=0.0, factor=1.5, seed=0)
+@example(n=8, g=5, sparsity=0.7, factor=2.5, seed=1)
+@given(
+    n=st.integers(1, 8),
+    g=st.integers(2, 5),
+    sparsity=st.floats(0.0, 0.7),
+    factor=st.floats(1.2, 2.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_spread_lattice_law_matches_its_compact_form(n, g, sparsity, factor, seed):
+    # the compact law on cells j of span g/2 is the spread law on cells g*j of
+    # span 1/2, with g - 1 empty cells between its atoms
+    rng = np.random.default_rng(seed)
+    f = rng.random(n) * (rng.random(n) >= sparsity)
+    f[-1] += f.sum() == 0.0
+    f /= f.sum()
+    spread = np.zeros(g * n)
+    spread[g - 1 :: g] = f
+    compact_model = CompoundModel(1.5, Lattice(0.5 * g, f))
+    spread_model = CompoundModel(1.5, Lattice(0.5, spread))
+    t, x = 20.0, factor * compact_model.mean_rate
+    compact_run, spread_run = [
+        (entropy(model, x), chernoff_bound(model, t, x).bound, esscher_tail(model, t, x))
+        for model in (compact_model, spread_model)
+    ]
+    (ce, cb, cs), (se, sb, ss) = compact_run, spread_run
+    for got, want in ((se.tilt, ce.tilt), (se.h, ce.h), (sb, cb), (ss.value, cs.value),
+                      (ss.value_explicit, cs.value_explicit)):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # panjer on both lattices: every compact cell, and exact zeros between
+    m = steps_to(t * x, 0.5 * g)
+    compact_agg = panjer(1.5 * t, compact_model.severity.as_distribution(), m)
+    spread_agg = panjer(1.5 * t, spread_model.severity.as_distribution(), g * m)
+    np.testing.assert_allclose(spread_agg.masses[::g], compact_agg.masses, rtol=1e-12, atol=0.0)
+    assert not np.delete(spread_agg.masses, np.s_[::g]).any()
+    above = np.cumsum(compact_agg.masses[::-1])[::-1]  # positive-term tails from the masses
+    np.testing.assert_allclose(np.cumsum(spread_agg.masses[::-1])[::-1][::g], above,
+                               rtol=1e-12, atol=0.0)
+    # the stored running-subtraction tails hold their absolute error only
+    np.testing.assert_allclose(spread_agg.tails[::g], compact_agg.tails, rtol=0.0, atol=1e-14)
+    # the tilted-FFT tail P(S >= t*x), within its stated 1e-10
+    compact_tail = compound_poisson_tail(1.5 * t, compact_model.severity.as_distribution(),
+                                         m - 1, ce.tilt)
+    spread_tail = compound_poisson_tail(1.5 * t, spread_model.severity.as_distribution(),
+                                        g * m - 1, se.tilt)
+    assert spread_tail == pytest.approx(compact_tail, rel=1e-10, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # individual model
 # ---------------------------------------------------------------------------
+
+
+def test_a_refused_portfolio_builds_its_compound_law_in_under_60_mb():
+    # sums 20000.01, 0.01 and 2.5 share only the span 0.01: a 2,000,001-cell
+    # severity, whose masses the law holds once and whose tails it never builds
+    portfolio = Portfolio((Policy(20000.01, 0.1), Policy(0.01, 0.2), Policy(2.5, 0.05)))
+    tracemalloc.start()
+    try:
+        model = portfolio_to_compound(portfolio, span=0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.severity.masses.size == 2_000_001
+    assert peak < 60e6
 
 
 def test_portfolio_single_policy():
@@ -591,18 +667,3 @@ def test_approximation_bound_is_the_total_variation_sum(p):
         expected, rel = 2.0 * (p + (1.0 - p) * math.log1p(-p)), 1e-12
     assert portfolio.approximation_bound == pytest.approx(expected, rel=rel)
     assert portfolio.approximation_bound >= portfolio.sum_p_squared / 2.0
-
-
-# ---------------------------------------------------------------------------
-# truncation helper
-# ---------------------------------------------------------------------------
-
-
-def test_suggest_truncation():
-    t, d, tol = 5.0, 1.0, 1e-12
-    n = suggest_truncation(UNIT_MODEL, t, d, tol)
-    assert math.exp(-t * entropy(UNIT_MODEL, n * d / t).h) < tol
-    assert math.exp(-t * entropy(UNIT_MODEL, (n - 1) * d / t).h) >= tol
-    # the aggregate mass beyond the suggested index is below the tolerance
-    agg = panjer(t, discretize(PointMass(1.0), d), n + 10)
-    assert agg.tail(n) < tol

@@ -165,7 +165,7 @@ def params_close(a, b, tol=1e-12):
         return False
     for field in a.__dataclass_fields__:
         va, vb = getattr(a, field), getattr(b, field)
-        if isinstance(va, tuple):
+        if isinstance(va, (tuple, np.ndarray)):
             if len(va) != len(vb) or any(
                 abs(x - y) > tol * max(1.0, abs(x)) for x, y in zip(va, vb)
             ):
@@ -294,7 +294,8 @@ def test_lattice_transforms_match_per_call_arrays_bit_for_bit(n, span, frac, see
         assert lat.sf(point) == float(np.sum(f[x > point]))
     w = f * np.exp(xi * x)
     w /= w.sum()
-    assert lat.tilt(xi).masses == tuple(w)
+    w /= math.fsum(w.tolist())  # as every Lattice divides its masses by their fsum
+    assert lat.tilt(xi).masses.tobytes() == w.tobytes()
     # one LatticeDistribution, and an alias table that carries the masses
     assert lat.as_distribution() is lat.as_distribution()
     assert lat.as_distribution().masses.tobytes() == np.concatenate([[0.0], f]).tobytes()
@@ -338,13 +339,43 @@ def test_gamma_mean_makes_no_scipy_call(monkeypatch):
 def test_lattice_from_an_array_is_the_lattice_from_its_tuple():
     masses = np.random.default_rng(4).dirichlet(np.ones(500))
     from_array, from_tuple = Lattice(0.01, masses), Lattice(0.01, tuple(masses.tolist()))
-    assert from_array == from_tuple and from_array.masses == tuple(masses.tolist())
-    assert all(type(v) is float for v in from_array.masses)
+    assert from_array == from_tuple and hash(from_array) == hash(from_tuple)
+    assert from_array != Lattice(0.02, masses)
+    assert from_array.masses.tobytes() == (masses / math.fsum(masses.tolist())).tobytes()
     assert np.array_equal(from_array.as_distribution().masses, from_tuple.as_distribution().masses)
     with pytest.raises(DomainError, match="lattice masses must be nonnegative"):
         Lattice(1.0, np.array([1.5, -0.5]))
     with pytest.raises(DomainError, match="lattice masses sum to 0.9, not 1"):
         Lattice(1.0, np.array([0.5, 0.4]))
+
+
+def test_lattice_masses_are_a_read_only_view_of_its_one_distribution():
+    lat = Lattice(0.5, (0.25, 0.0, 0.75))
+    dist = lat.as_distribution()
+    assert np.shares_memory(lat.masses, dist.masses)
+    assert lat.masses.tobytes() == dist.masses[1:].tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        lat.masses[0] = 1.0
+
+
+def test_lattice_masses_sum_to_one():
+    # masses 5e-13 short of one are divided by their fsum, so no transform sees the gap
+    lat = Lattice(1.0, (0.3, 0.7 - 5e-13))
+    assert lat.mgf(0.0) == lat.sf(0.5) == 1.0
+    assert lat.mgf_m1(0.0) == 0.0
+    assert math.fsum(lat.masses) == 1.0
+
+
+def test_severity_distributions_build_no_tails_until_read():
+    law = Exponential(1.0)
+    for dist in (Lattice(0.5, (0.25, 0.0, 0.75)).as_distribution(), discretize(law, 0.1),
+                 discretize_ladder(law, 0.1)):
+        assert "tails" not in vars(dist)
+        assert dist.tail(2) == float(dist.tails[2])
+        # the running subtraction G_n = G_{n-1} - g_n, built once and kept
+        want = np.subtract.accumulate(np.concatenate(([1.0], dist.masses)))[1:]
+        assert dist.tails.tobytes() == want.tobytes() and dist.tails is dist.tails
+        assert not dist.tails.flags.writeable
 
 
 @settings(max_examples=25, deadline=None)

@@ -141,3 +141,30 @@ def test_traced_lattice_entry_runs_the_one_esscher_body():
     assert len(entries) == 2 and sorted(s[4] for s in spans if s[4] is not None) == entries
     assert tracer.calls["cumulant.esscher"] == 4
     assert tracer.self_s["cumulant.esscher"] > 0.0
+
+
+def test_traced_portfolio_and_seal_count_the_stored_lattice_cells(tmp_path, capsys):
+    # the tracer's panjer and distribution counters read ``masses.size`` of each
+    # LatticeDistribution, a lattice severity's one stored copy included
+    lib = SimpleNamespace(**{m: importlib.import_module(f"collrisk.{m}") for m in MODULES})
+    policies = tmp_path / "pol.csv"
+    policies.write_text("0.5, 0.1\n1, 0.2\n1.5, 0.05\n")
+    (tmp_path / "law.lat").write_text("0.5 0.25\n1.0 0.75\n")
+    model = tmp_path / "law.model"
+    model.write_text("lambda = 1\npremium_rate = 2\nseverity {\n    kind = lattice\n"
+                     "    span = 0.5\n    file = law.lat\n}\n")
+    untraced = [lib.cli.main(["portfolio", str(policies), "--x", "1,2"]),
+                lib.cli.main(["seal", str(model), "--u", "1", "--t", "5"]), capsys.readouterr()]
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install(lib)
+        traced = [lib.cli.main(["portfolio", str(policies), "--x", "1,2"]),
+                  lib.cli.main(["seal", str(model), "--u", "1", "--t", "5"]), capsys.readouterr()]
+    finally:
+        tracer.uninstall()
+    assert traced == untraced and traced[:2] == [0, 0]
+    assert (tracer.calls["lattice.panjer"], tracer.calls["ruin.seal"]) == (2, 1)
+    # portfolio fills cells 0..5 of span 0.5, seal cells 0..22 (u + c*t = 11)
+    assert tracer.counts["panjer_cells"] == 6 + 23
+    # the two severities (4 and 3 cells) and the two aggregates
+    assert tracer.counts["dist_cells"] == 4 + 3 + 6 + 23
